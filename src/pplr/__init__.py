@@ -58,6 +58,8 @@ from .pipeline import (
     EpochReport,
     PipelineConfig,
     ToyModel,
+    agreement_scores,
+    cluster_labels,
     clustering_stage,
     initial_model,
     load_model,

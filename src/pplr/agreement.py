@@ -21,7 +21,8 @@ def cross_agreement(a: RankedLists, b: RankedLists) -> np.ndarray:
 
     Order within a list is irrelevant; both lists must share k and N.
     Both sets have exactly k members, so the union size is 2k minus the
-    intersection size.
+    intersection size. A list never repeats an entry, so after sorting a
+    row's two lists together each shared entry is one adjacent equal pair.
     """
     if a.k != b.k:
         raise ValueError(f"ranked lists disagree on k: {a.k} vs {b.k}")
@@ -29,12 +30,9 @@ def cross_agreement(a: RankedLists, b: RankedLists) -> np.ndarray:
         raise ValueError(
             f"ranked lists disagree on N: {a.n_samples} vs {b.n_samples}"
         )
-    n, k = a.n_samples, a.k
-    scores = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        inter = np.intersect1d(a.lists[i], b.lists[i], assume_unique=True).size
-        scores[i] = inter / (2 * k - inter)
-    return scores
+    merged = np.sort(np.concatenate([a.lists, b.lists], axis=1), axis=1)
+    inter = np.count_nonzero(merged[:, 1:] == merged[:, :-1], axis=1)
+    return inter / (2 * a.k - inter)
 
 
 def agreement_matrix(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,8 @@ from .ingest import SynthConfig, generate_synthetic_bank, read_feature_bank, wri
 from .objectives import LossWeights
 from .pipeline import (
     PipelineConfig,
+    agreement_scores,
+    cluster_labels,
     clustering_stage,
     init_heads,
     initial_model,
@@ -41,7 +42,7 @@ from .pipeline import (
     save_model,
     training_stage,
 )
-from .refine import RefinementConfig, pglr_targets, aals_targets
+from .refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
 
 DEFAULT_CONFIG: Dict[str, dict] = {
     "synth": {
@@ -259,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker cap")
         p.add_argument("--out", help="output path (stdout where applicable)")
         if name != "simgen":
             p.add_argument("--bank", help="input feature-bank file")
@@ -268,22 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, dotted, typ in _OVERRIDE_FLAGS:
             p.add_argument(flag, dest=dotted.replace(".", "__"), type=typ, default=None)
     return parser
-
-
-def _resolve_threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("PPLR_THREADS")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"PPLR_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"--threads must be >= 1, got {value}")
-    # The implementation runs its stages single-threaded; the flag is an
-    # upper bound on internal parallelism, so any value yields identical
-    # output by construction.
-    return value
 
 
 def _collect_overrides(args) -> Dict[str, object]:
@@ -323,10 +307,10 @@ def _cmd_simgen(args, cfg: RunConfig) -> int:
 
 def _cmd_cluster(args, cfg: RunConfig) -> int:
     feats = normalize_bank(_load_bank(args, cfg))
-    result = clustering_stage(feats, cfg.pipeline)
+    labels = cluster_labels(feats, cfg.pipeline)
     lines = [
         json.dumps({"index": i, "label": int(lab)})
-        for i, lab in enumerate(result.labels.labels)
+        for i, lab in enumerate(labels.labels)
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -334,16 +318,18 @@ def _cmd_cluster(args, cfg: RunConfig) -> int:
 
 def _cmd_agree(args, cfg: RunConfig) -> int:
     feats = normalize_bank(_load_bank(args, cfg))
-    result = clustering_stage(feats, cfg.pipeline)
+    agreement = agreement_scores(feats, cfg.pipeline)
     lines = [
         json.dumps({"index": i, "scores": [float(s) for s in row]})
-        for i, row in enumerate(result.agreement.scores)
+        for i, row in enumerate(agreement.scores)
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_refine(args, cfg: RunConfig) -> int:
+    """PGLR and AALS targets from centroid-initialized heads. The AALS
+    weights are those of the first post-warm-up epoch."""
     feats = normalize_bank(_load_bank(args, cfg))
     result = clustering_stage(feats, cfg.pipeline)
     labels, agreement = result.labels, result.agreement
@@ -360,10 +346,7 @@ def _cmd_refine(args, cfg: RunConfig) -> int:
         lab = labels.labels[clustered]
         ca = agreement.scores[clustered]
         pglr = pglr_targets(lab, k, preds, ca, cfg.refinement.beta)
-        if cfg.refinement.constant_alpha is not None:
-            alphas = np.full_like(ca, cfg.refinement.constant_alpha)
-        else:
-            alphas = ca
+        alphas = effective_alpha(ca, cfg.refinement.aals_warmup_epochs, cfg.refinement)
         aals_by_part = [aals_targets(lab, k, alphas[:, p]) for p in range(feats.n_parts)]
         for row, i in enumerate(clustered):
             records[int(i)] = {
@@ -438,7 +421,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _resolve_threads(args)
         cfg = parse_config(args.config, _collect_overrides(args))
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:

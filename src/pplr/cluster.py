@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PseudoLabels
-from .neighbors import DistanceMatrix, SYMMETRY_ATOL
+from .neighbors import DistanceMatrix
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ def dbscan(dist: DistanceMatrix, params: DbscanParams) -> PseudoLabels:
     lowest-indexed core neighbor; everything else is noise (-1).
     """
     d = dist.values
-    if np.abs(d - d.T).max(initial=0.0) > SYMMETRY_ATOL:
-        raise ValueError("dbscan requires a symmetric distance matrix")
     n = d.shape[0]
     adjacency = d <= params.eps
     np.fill_diagonal(adjacency, False)

@@ -221,6 +221,8 @@ class RankedLists:
         n, k = arr.shape
         if k != self.k:
             raise ValueError(f"declared k={self.k} but lists have {k} columns")
+        if k < 1:
+            raise ValueError("ranked lists need k >= 1")
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise ValueError("neighbor index out of range")

@@ -26,12 +26,12 @@ from .agreement import agreement_matrix
 from .cluster import DbscanParams, cluster_centroids, dbscan
 from .core import (
     GLOBAL_SPACE,
+    ConfigError,
     CrossAgreement,
     DataFormatError,
     FeatureBank,
     NumericalError,
     PseudoLabels,
-    RankedLists,
     part_space,
 )
 from .evaluate import LabelQuality, RetrievalResult, label_quality, map_cmc
@@ -48,7 +48,7 @@ from .objectives import (
     softmax_triplet_loss,
     total_loss,
 )
-from .refine import RefinementConfig, aals_targets, pglr_targets
+from .refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
 
 # Clustering-distance constants: the re-ranked Jaccard metric with its
 # canonical parameters (encoding depth 30, query expansion 6, no blend).
@@ -165,8 +165,6 @@ class EpochReport:
 class ClusteringResult:
     labels: PseudoLabels
     agreement: CrossAgreement
-    global_lists: RankedLists
-    part_lists: Tuple[RankedLists, ...]
 
 
 def _epoch_rng(seed: int, slot: int) -> np.random.Generator:
@@ -202,30 +200,42 @@ def project_bank(model: ToyModel, bank_raw: FeatureBank) -> FeatureBank:
     )
 
 
-def clustering_stage(bank: FeatureBank, cfg: PipelineConfig) -> ClusteringResult:
-    """Pseudo-labels from the re-ranked global distance, plus per-space
-    ranked lists (plain squared Euclidean) and the agreement matrix."""
+def _clusterable_n(bank: FeatureBank) -> int:
+    """N of a normalized bank in which every sample has a neighbor."""
     if not bank.normalized:
-        raise ValueError("clustering_stage requires a normalized bank")
+        raise ValueError("clustering requires a normalized bank")
     n = bank.n_samples
+    if n < 2:
+        raise ConfigError(f"clustering needs at least 2 samples; the bank has N={n}")
+    return n
+
+
+def cluster_labels(bank: FeatureBank, cfg: PipelineConfig) -> PseudoLabels:
+    """Pseudo-labels: DBSCAN over the re-ranked global distance, with the
+    encoding depths clamped to N - 1."""
+    n = _clusterable_n(bank)
     k1 = min(CLUSTER_K1, n - 1)
     k2 = min(CLUSTER_K2, k1)
     cluster_dist = k_reciprocal_jaccard(bank.global_feats, k1, k2, CLUSTER_BLEND_LAMBDA)
-    labels = dbscan(cluster_dist, cfg.dbscan)
+    return dbscan(cluster_dist, cfg.dbscan)
 
-    global_lists = topk_ranked_lists(
-        pairwise_sq_euclidean(bank.global_feats), cfg.k_agreement, GLOBAL_SPACE
-    )
-    part_lists = tuple(
-        topk_ranked_lists(pairwise_sq_euclidean(p), cfg.k_agreement, part_space(i))
-        for i, p in enumerate(bank.part_feats)
-    )
-    agreement = agreement_matrix(global_lists, part_lists)
+
+def agreement_scores(bank: FeatureBank, cfg: PipelineConfig) -> CrossAgreement:
+    """Agreement of each part's top-k lists (plain squared Euclidean) with
+    the global ones; ``k_agreement`` is clamped to N - 1."""
+    n = _clusterable_n(bank)
+    k = min(cfg.k_agreement, n - 1)
+    global_lists, *part_lists = [
+        topk_ranked_lists(pairwise_sq_euclidean(mat), k, space_id)
+        for space_id, mat in bank.spaces()
+    ]
+    return agreement_matrix(global_lists, part_lists)
+
+
+def clustering_stage(bank: FeatureBank, cfg: PipelineConfig) -> ClusteringResult:
+    """Both halves of an epoch's clustering: pseudo-labels and agreement."""
     return ClusteringResult(
-        labels=labels,
-        agreement=agreement,
-        global_lists=global_lists,
-        part_lists=part_lists,
+        labels=cluster_labels(bank, cfg), agreement=agreement_scores(bank, cfg)
     )
 
 
@@ -343,12 +353,7 @@ def _train_step(
 
     # Targets (constants: nothing backpropagates through them).
     if cfg.mode == MODE_PPLR:
-        if epoch < ref.aals_warmup_epochs:
-            alphas = np.ones_like(ca)
-        elif ref.constant_alpha is not None:
-            alphas = np.full_like(ca, ref.constant_alpha)
-        else:
-            alphas = ca
+        alphas = effective_alpha(ca, epoch, ref)
         t_global = pglr_targets(lab, k, np.stack(qs[1:]), ca, ref.beta)
     else:
         alphas = np.ones_like(ca)

@@ -48,13 +48,18 @@ class RefinementConfig:
             raise ValueError("constant_alpha must lie in [0, 1]")
 
 
-def effective_alpha(agreement: float, epoch: int, cfg: RefinementConfig) -> float:
-    """Smoothing weight for one sample/part at a given epoch."""
+def effective_alpha(agreement, epoch: int, cfg: RefinementConfig) -> np.ndarray:
+    """Smoothing weights at a given epoch, elementwise over ``agreement``.
+
+    Returns an array of the input's shape: ones during warm-up, then
+    ``constant_alpha`` when set, else the agreement itself.
+    """
+    a = np.asarray(agreement, dtype=np.float64)
     if epoch < cfg.aals_warmup_epochs:
-        return 1.0
+        return np.ones_like(a)
     if cfg.constant_alpha is not None:
-        return cfg.constant_alpha
-    return float(agreement)
+        return np.full_like(a, cfg.constant_alpha)
+    return a
 
 
 def aals_target(label: int, k_clusters: int, alpha: float) -> SoftLabel:

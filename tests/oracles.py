@@ -25,7 +25,7 @@ def pairwise_sq_oracle(x: np.ndarray) -> np.ndarray:
 def cross_agreement_oracle(lists_a: np.ndarray, lists_b: np.ndarray) -> np.ndarray:
     scores = []
     for row_a, row_b in zip(lists_a, lists_b):
-        sa, sb = set(int(v) for v in row_a), set(int(v) for v in row_b)
+        sa, sb = set(row_a.tolist()), set(row_b.tolist())
         scores.append(len(sa & sb) / len(sa | sb))
     return np.array(scores)
 

@@ -195,6 +195,60 @@ class TestCliCommands:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("this command must not compute this")
+
+
+class TestCommandsComputeOnlyWhatTheyPrint:
+    def test_cluster_builds_no_agreement(self, tmp_path, small_bank, monkeypatch):
+        config, bank = small_bank
+        monkeypatch.setattr("pplr.pipeline.topk_ranked_lists", _refuse)
+        monkeypatch.setattr("pplr.pipeline.agreement_matrix", _refuse)
+        out = tmp_path / "labels.jsonl"
+        assert main(["cluster", "--config", config, "--bank", bank, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 96
+
+    def test_agree_builds_no_labels(self, tmp_path, small_bank, monkeypatch):
+        config, bank = small_bank
+        monkeypatch.setattr("pplr.pipeline.k_reciprocal_jaccard", _refuse)
+        monkeypatch.setattr("pplr.pipeline.dbscan", _refuse)
+        out = tmp_path / "agree.jsonl"
+        assert main(["agree", "--config", config, "--bank", bank, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 96
+
+
+def _tiny_bank(tmp_path, n_identities, samples_per_identity):
+    bank = tmp_path / f"tiny{n_identities * samples_per_identity}.pplb"
+    assert main([
+        "simgen", "--n-identities", str(n_identities),
+        "--samples-per-identity", str(samples_per_identity), "--out", str(bank),
+    ]) == 0
+    return str(bank)
+
+
+class TestTinyBanks:
+    COMMANDS = ("cluster", "agree", "refine", "train", "pipeline")
+
+    def test_fewer_samples_than_default_depths(self, tmp_path):
+        # 15 samples: below both the clustering depth k1 = 30 and the
+        # default k_agreement = 20, which are clamped to N - 1.
+        bank = _tiny_bank(tmp_path, 3, 5)
+        for cmd in self.COMMANDS:
+            out = tmp_path / f"{cmd}.out"
+            argv = [cmd, "--bank", bank, "--out", str(out), "--epochs", "1", "--iters", "2"]
+            assert main(argv) == 0, cmd
+        lines = (tmp_path / "agree.out").read_text().splitlines()
+        scores = [json.loads(line)["scores"] for line in lines]
+        assert len(scores) == 15
+        assert all(0.0 <= v <= 1.0 for row in scores for v in row)
+
+    def test_single_sample_is_a_config_error(self, tmp_path, capsys):
+        bank = _tiny_bank(tmp_path, 1, 1)
+        for cmd in self.COMMANDS:
+            assert main([cmd, "--bank", bank, "--out", str(tmp_path / f"{cmd}.out")]) == 2, cmd
+            assert "N=1" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = write_config(tmp_path, {"refinement": {"beta": 2.0}})
@@ -210,16 +264,6 @@ class TestExitCodes:
         path = tmp_path / "bad.pplb"
         path.write_bytes(b"XXXXsomethingelse" + b"\x00" * 30)
         assert main(["cluster", "--bank", str(path)]) == 3
-
-    def test_bad_threads_is_2(self, tmp_path, small_bank):
-        config, bank = small_bank
-        assert main(["cluster", "--config", config, "--bank", bank, "--threads", "0"]) == 2
-
-    def test_env_threads_fallback(self, small_bank, monkeypatch, tmp_path):
-        config, bank = small_bank
-        monkeypatch.setenv("PPLR_THREADS", "4")
-        out = tmp_path / "labels.jsonl"
-        assert main(["cluster", "--config", config, "--bank", bank, "--out", str(out)]) == 0
 
     def test_numerical_error_is_4(self, tmp_path):
         # A zero feature row is valid on disk but cannot be normalized.

@@ -107,13 +107,6 @@ class TestDbscan:
         ref_labels, _ = dbscan_oracle(d, 1.0, 3)
         assert np.array_equal(labels.labels, ref_labels)
 
-    def test_asymmetric_input_rejected(self):
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dist = DistanceMatrix(d)
-        object.__setattr__(dist, "values", np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            dbscan(dist, DbscanParams(eps=0.5, min_samples=1))
-
     def test_params_validated(self):
         with pytest.raises(ValueError):
             DbscanParams(eps=0.0)

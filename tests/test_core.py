@@ -110,6 +110,10 @@ class TestRankedLists:
         with pytest.raises(ValueError, match="duplicate"):
             RankedLists(space_id="global", k=2, lists=np.array([[1, 1], [0, 2], [0, 1]]))
 
+    def test_empty_lists_rejected(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            RankedLists(space_id="global", k=0, lists=np.zeros((3, 0), dtype=np.int64))
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             RankedLists(space_id="global", k=2, lists=np.array([[1, 5], [0, 2], [0, 1]]))

@@ -12,6 +12,8 @@ from pplr.objectives import LossWeights
 from pplr.pipeline import (
     PipelineConfig,
     _pk_sample,
+    agreement_scores,
+    cluster_labels,
     clustering_stage,
     init_heads,
     initial_model,
@@ -84,6 +86,26 @@ class TestClusteringStage:
         b = clustering_stage(feats, cfg)
         assert np.array_equal(a.labels.labels, b.labels.labels)
         assert np.array_equal(a.agreement.scores, b.agreement.scores)
+
+    def test_is_the_composition_of_its_halves(self):
+        bank = small_noisy_bank()
+        cfg = PipelineConfig(seed=1, proj_dim=12, dbscan=DbscanParams(eps=0.4))
+        feats = project_bank(initial_model(cfg, bank), bank)
+        stage = clustering_stage(feats, cfg)
+        labels = cluster_labels(feats, cfg)
+        agreement = agreement_scores(feats, cfg)
+        assert np.array_equal(stage.labels.labels, labels.labels)
+        assert stage.labels.k_clusters == labels.k_clusters
+        assert np.array_equal(stage.agreement.scores, agreement.scores)
+
+    def test_k_agreement_clamped_to_n_minus_one(self):
+        from pplr.core import normalize_bank
+        bank = normalize_bank(
+            generate_synthetic_bank(SynthConfig(n_identities=2, samples_per_identity=4, dim=8))
+        )
+        clamped = agreement_scores(bank, PipelineConfig(k_agreement=20))
+        exact = agreement_scores(bank, PipelineConfig(k_agreement=7))
+        assert np.array_equal(clamped.scores, exact.scores)
 
 
 class TestPkSampler:

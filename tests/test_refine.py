@@ -147,6 +147,14 @@ class TestEffectiveAlpha:
         assert effective_alpha(0.3, 1, cfg) == 1.0
         assert effective_alpha(0.3, 2, cfg) == 0.9
 
+    def test_elementwise_over_arrays(self):
+        scores = np.array([[0.1, 0.6], [0.3, 0.0], [1.0, 0.5]])
+        warm = RefinementConfig(aals_warmup_epochs=2)
+        assert np.array_equal(effective_alpha(scores, 1, warm), np.ones((3, 2)))
+        assert np.array_equal(effective_alpha(scores, 2, warm), scores)
+        fixed = RefinementConfig(aals_warmup_epochs=0, constant_alpha=0.9)
+        assert np.array_equal(effective_alpha(scores, 0, fixed), np.full((3, 2), 0.9))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefinementConfig(beta=1.5)

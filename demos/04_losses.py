@@ -15,7 +15,7 @@ from pplr import (
     aals_loss,
     build_camera_proxies,
     cross_entropy,
-    inter_camera_loss,
+    inter_camera_loss_batch,
     softmax_forward,
     softmax_triplet_loss,
     total_loss,
@@ -47,20 +47,26 @@ cams = np.tile([0, 1], 6)
 proxies = build_camera_proxies(bank_feats, pseudo, cams)
 print(f"proxies: {proxies.n_proxies} for 3 clusters x 2 cameras")
 
+# The trainer scores a whole batch at once: every sample is pulled toward
+# its cluster's proxies under other cameras, against the 3 hardest
+# other-cluster proxies.
 w = LossWeights(tau=0.4, n_hard_negatives=3)
-value, grad, was_skipped = inter_camera_loss(bank_feats[0], 0, 0, proxies, w)
-print(f"inter-camera loss for sample 0: {value:.4f} (skipped={was_skipped})")
+batch = [0, 1, 4, 5]
+value, grad, skipped = inter_camera_loss_batch(
+    bank_feats[batch], pseudo.labels[batch], cams[batch], proxies, w
+)
+print(f"inter-camera loss for samples {batch}: {value:.4f} (skipped: {skipped})")
 
 # Finite-difference check of that gradient, coordinate by coordinate.
 step = 1e-6
-fd = np.zeros_like(bank_feats[0])
-for d in range(fd.size):
-    probe = bank_feats[0].copy()
-    probe[d] += step
-    up, _, _ = inter_camera_loss(probe, 0, 0, proxies, w)
-    probe[d] -= 2 * step
-    down, _, _ = inter_camera_loss(probe, 0, 0, proxies, w)
-    fd[d] = (up - down) / (2 * step)
+fd = np.zeros_like(grad)
+for idx in np.ndindex(*fd.shape):
+    probe = bank_feats[batch].copy()
+    probe[idx] += step
+    up, _, _ = inter_camera_loss_batch(probe, pseudo.labels[batch], cams[batch], proxies, w)
+    probe[idx] -= 2 * step
+    down, _, _ = inter_camera_loss_batch(probe, pseudo.labels[batch], cams[batch], proxies, w)
+    fd[idx] = (up - down) / (2 * step)
 print(f"max |analytic - finite difference| = {np.abs(grad - fd).max():.2e}")
 
 print(

@@ -13,6 +13,7 @@ from .core import (
     CrossAgreement,
     DataFormatError,
     FeatureBank,
+    NoValidQueryError,
     NumericalError,
     PPLRError,
     PseudoLabels,
@@ -49,7 +50,7 @@ from .objectives import (
     aals_loss,
     build_camera_proxies,
     cross_entropy,
-    inter_camera_loss,
+    inter_camera_loss_batch,
     softmax_forward,
     softmax_triplet_loss,
     total_loss,

@@ -9,8 +9,9 @@ pipeline stage.
     pplr pipeline --bank bank.pplb --out report.jsonl
     pplr eval     --bank bank.pplb
 
-Exit codes: 0 success, 2 config error, 3 data-format or file error,
-4 runtime numerical error.
+Exit codes: 0 success, 2 config error (including a bank the command
+cannot use, such as one where no query has a cross-camera positive for
+``eval``), 3 data-format or file error, 4 runtime numerical error.
 """
 
 from __future__ import annotations
@@ -367,7 +368,10 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     model = initial_model(cfg.pipeline, bank)
     feats = project_bank(model, bank)
     result = clustering_stage(feats, cfg.pipeline)
-    trace = training_stage(model, bank, result.labels, result.agreement, cfg.pipeline)
+    heads = init_heads(feats, result.labels)
+    trace = training_stage(
+        model, bank, feats, heads, result.labels, result.agreement, cfg.pipeline
+    )
     lines = [json.dumps({"config": cfg.echo()}, sort_keys=True)]
     lines += [json.dumps(it, sort_keys=True) for it in trace.iterations]
     lines.append(json.dumps({"warnings": trace.warnings_dict()}, sort_keys=True))

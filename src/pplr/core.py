@@ -32,6 +32,10 @@ class ConfigError(PPLRError):
     """Invalid configuration value or unknown configuration key."""
 
 
+class NoValidQueryError(ConfigError):
+    """Retrieval cannot be scored: no query has a cross-camera positive."""
+
+
 class DataFormatError(PPLRError):
     """Malformed serialized artifact (bad magic, truncation, and so on)."""
 

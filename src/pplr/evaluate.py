@@ -7,6 +7,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .core import NoValidQueryError
+
 DEFAULT_RANKS = (1, 5, 10)
 
 
@@ -80,6 +82,9 @@ def map_cmc(
     identity and its camera are removed before scoring, so matches only
     count across cameras; a query left without any positive is excluded
     and counted in ``n_excluded``.
+
+    Raises:
+        NoValidQueryError: when every query is excluded.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -115,7 +120,7 @@ def map_cmc(
                 cmc_hits[r] += 1
     n_valid = len(aps)
     if n_valid == 0:
-        raise ValueError("no query has a valid cross-camera positive")
+        raise NoValidQueryError("no query has a valid cross-camera positive")
     return RetrievalResult(
         map=float(np.mean(aps)),
         cmc={r: cmc_hits[r] / n_valid for r in ranks},

@@ -1,9 +1,10 @@
 """Training losses with analytic gradients, and camera-aware proxies.
 
 All losses are plain numpy with hand-derived gradients; every gradient is
-cross-checked against central finite differences in the test suite. Scalar
-single-sample forms mirror the definitions; ``*_batch`` variants are the
-vectorized versions the trainer uses.
+cross-checked against central finite differences in the test suite. The
+two losses the trainer calls, :func:`softmax_triplet_loss` and
+:func:`inter_camera_loss_batch`, work on a whole batch at once; their
+per-sample loop forms live only in the test oracles.
 """
 
 from __future__ import annotations
@@ -187,39 +188,33 @@ def softmax_triplet_loss(
     if labels.shape != (b,):
         raise ValueError("one label per feature row is required")
 
-    diff_sq = _pairwise_sq(f)
-    dist = np.sqrt(diff_sq)
+    dist = np.sqrt(_pairwise_sq(f))
     same = labels[:, None] == labels[None, :]
+    other = ~same
     np.fill_diagonal(same, False)
-    other = labels[:, None] != labels[None, :]
-
+    valid = same.any(axis=1) & other.any(axis=1)
     grad = np.zeros_like(f)
-    total = 0.0
-    n_valid = 0
-    skipped = 0
-    mined = []
-    for i in range(b):
-        pos = np.flatnonzero(same[i])
-        neg = np.flatnonzero(other[i])
-        if pos.size == 0 or neg.size == 0:
-            skipped += 1
-            continue
-        p = pos[np.argmax(dist[i, pos])]
-        n_ = neg[np.argmin(dist[i, neg])]
-        mined.append((i, p, n_))
-        total += np.logaddexp(0.0, dist[i, p] - dist[i, n_])
-        n_valid += 1
-    if n_valid == 0:
+    anchors = np.flatnonzero(valid)
+    skipped = b - anchors.size
+    if anchors.size == 0:
         return 0.0, grad, skipped
 
-    for i, p, n_ in mined:
-        s = _sigmoid(dist[i, p] - dist[i, n_]) / n_valid
-        u_pos = _unit_difference(f[i], f[p], dist[i, p])
-        u_neg = _unit_difference(f[i], f[n_], dist[i, n_])
-        grad[i] += s * (u_pos - u_neg)
-        grad[p] -= s * u_pos
-        grad[n_] += s * u_neg
-    return float(total / n_valid), grad, skipped
+    # argmax/argmin return the first extremum, so ties go to the smaller index.
+    pos = np.argmax(np.where(same, dist, -np.inf), axis=1)[anchors]
+    neg = np.argmin(np.where(other, dist, np.inf), axis=1)[anchors]
+    d_pos = dist[anchors, pos]
+    d_neg = dist[anchors, neg]
+    margin = d_pos - d_neg
+    loss = float(np.logaddexp(0.0, margin).sum() / anchors.size)
+
+    s = (_sigmoid(margin) / anchors.size)[:, None]
+    u_pos = _unit_difference(f[anchors], f[pos], d_pos)
+    u_neg = _unit_difference(f[anchors], f[neg], d_neg)
+    # One (anchor, positive, negative) triple after another, as a loop would.
+    rows = np.stack([anchors, pos, neg], axis=1).ravel()
+    vals = np.stack([s * (u_pos - u_neg), -s * u_pos, s * u_neg], axis=1)
+    np.add.at(grad, rows, vals.reshape(-1, f.shape[1]))
+    return loss, grad, skipped
 
 
 def _pairwise_sq(f: np.ndarray) -> np.ndarray:
@@ -230,17 +225,17 @@ def _pairwise_sq(f: np.ndarray) -> np.ndarray:
     return d
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _unit_difference(a: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray:
-    if norm == 0.0:
-        return np.zeros_like(a)
-    return (a - b) / norm
+def _unit_difference(a: np.ndarray, b: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Rows of (a - b) / norm; zero where the norm is zero."""
+    out = np.zeros_like(a)
+    nz = norm != 0.0
+    out[nz] = (a[nz] - b[nz]) / norm[nz, None]
+    return out
 
 
 def build_camera_proxies(
@@ -273,58 +268,6 @@ def build_camera_proxies(
     )
 
 
-def inter_camera_loss(
-    feature: np.ndarray,
-    own_label: int,
-    own_cam: int,
-    proxies: CameraProxySet,
-    weights: LossWeights,
-) -> Tuple[float, np.ndarray, bool]:
-    """Contrastive pull toward same-cluster proxies from other cameras.
-
-    Positives are proxies sharing the sample's cluster under a different
-    camera; negatives are the ``n_hard_negatives`` most similar proxies
-    from other clusters (similarity = dot product, ties to smaller proxy
-    index). With no positive proxy the sample contributes nothing and is
-    flagged skipped.
-
-    Returns:
-        (loss, gradient w.r.t. the feature, skipped flag)
-    """
-    f = np.asarray(feature, dtype=np.float64)
-    grad = np.zeros_like(f)
-    pos_idx = np.flatnonzero(
-        (proxies.proxy_cluster == own_label) & (proxies.proxy_camera != own_cam)
-    )
-    if own_label < 0 or pos_idx.size == 0:
-        return 0.0, grad, True
-
-    sims = proxies.proxies @ f
-    neg_pool = np.flatnonzero(proxies.proxy_cluster != own_label)
-    if neg_pool.size:
-        order = np.argsort(-sims[neg_pool], kind="stable")
-        neg_idx = neg_pool[order[: weights.n_hard_negatives]]
-    else:
-        neg_idx = neg_pool
-    support = np.concatenate([pos_idx, neg_idx])
-    logits = sims[support] / weights.tau
-    log_probs = logits - _logsumexp(logits)
-    n_pos = pos_idx.size
-    loss = float(-log_probs[:n_pos].mean())
-
-    # d loss / d f = -(mean of positive proxies - softmax-weighted proxies) / tau
-    probs = np.exp(log_probs)
-    pos_mean = proxies.proxies[pos_idx].mean(axis=0)
-    weighted = probs @ proxies.proxies[support]
-    grad = (weighted - pos_mean) / weights.tau
-    return loss, grad, False
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
-
-
 def inter_camera_loss_batch(
     features: np.ndarray,
     labels: np.ndarray,
@@ -332,22 +275,58 @@ def inter_camera_loss_batch(
     proxies: CameraProxySet,
     weights: LossWeights,
 ) -> Tuple[float, np.ndarray, int]:
-    """Mean inter-camera loss over a batch (skipped samples contribute 0)."""
+    """Contrastive pull toward same-cluster proxies from other cameras.
+
+    For each sample, positives are the proxies sharing its cluster under a
+    different camera; negatives are the ``n_hard_negatives`` most similar
+    proxies from other clusters (similarity = dot product, ties to the
+    smaller proxy index). The sample's loss is the mean negative log
+    softmax of its positives over positives plus negatives, at
+    temperature ``tau``. Outliers and samples with no positive proxy
+    contribute nothing and are counted as skipped.
+
+    Returns:
+        (sum of sample losses / B, gradient w.r.t. the features, skipped count)
+    """
     f = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    cams = np.asarray(cams)
     b = f.shape[0]
     grads = np.zeros_like(f)
-    total = 0.0
-    skipped = 0
-    for i in range(b):
-        loss_i, grad_i, was_skipped = inter_camera_loss(
-            f[i], int(labels[i]), int(cams[i]), proxies, weights
-        )
-        if was_skipped:
-            skipped += 1
-            continue
-        total += loss_i
-        grads[i] = grad_i / b
-    return total / b, grads, skipped
+    own = proxies.proxy_cluster[None, :] == labels[:, None]
+    pos = own & (proxies.proxy_camera[None, :] != cams[:, None])
+    rows = np.flatnonzero((labels >= 0) & pos.any(axis=1))
+    skipped = b - rows.size
+    if rows.size == 0:
+        return 0.0, grads, skipped
+
+    p = proxies.proxies
+    own, pos = own[rows], pos[rows]
+    sims = f[rows] @ p.T
+    # Hard negatives: the n smallest keys per row, where the key ranks
+    # other-cluster columns by descending similarity and own-cluster ones
+    # last. Ties at the n-th key go to the smaller proxy index.
+    n = weights.n_hard_negatives
+    neg = ~own
+    if n < p.shape[0]:
+        key = np.where(own, np.inf, -sims)
+        cut = np.partition(key, n - 1, axis=1)[:, n - 1 : n]
+        below = key < cut
+        at = key == cut
+        neg &= below | (at & (np.cumsum(at, axis=1) <= n - below.sum(axis=1, keepdims=True)))
+    support = pos | neg
+
+    logits = np.where(support, sims / weights.tau, -np.inf)
+    top = logits.max(axis=1, keepdims=True)
+    log_probs = logits - (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))
+    n_pos = pos.sum(axis=1)
+    losses = -np.where(pos, log_probs, 0.0).sum(axis=1) / n_pos
+
+    # d loss / d f = (softmax-weighted proxies - mean of positive proxies) / tau
+    probs = np.exp(log_probs)
+    pos_mean = (pos @ p) / n_pos[:, None]
+    grads[rows] = (probs @ p - pos_mean) / weights.tau / b
+    return float(losses.sum() / b), grads, skipped
 
 
 def total_loss(

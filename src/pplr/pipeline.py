@@ -30,6 +30,7 @@ from .core import (
     CrossAgreement,
     DataFormatError,
     FeatureBank,
+    NoValidQueryError,
     NumericalError,
     PseudoLabels,
     part_space,
@@ -130,8 +131,11 @@ class EpochReport:
     """Everything observable about one epoch.
 
     Quality and retrieval metrics are present only when the bank carries
-    ground-truth ids. ``wall_time`` stays in memory; it is deliberately
-    dropped from the serialized form to keep report files reproducible.
+    ground-truth ids. Retrieval also needs camera ids; when no query has
+    a cross-camera positive it stays None and ``warnings`` gains
+    ``no_valid_query: 1``, a key absent from every other epoch.
+    ``wall_time`` stays in memory; it is deliberately dropped from the
+    serialized form to keep report files reproducible.
     """
 
     epoch: int
@@ -240,7 +244,10 @@ def clustering_stage(bank: FeatureBank, cfg: PipelineConfig) -> ClusteringResult
 
 
 def init_heads(feats: FeatureBank, labels: PseudoLabels) -> List[ClassifierHead]:
-    """Fresh heads with rows set to cluster centroids, one per space."""
+    """Fresh heads with rows set to cluster centroids, one per space; none
+    when there is no cluster."""
+    if labels.k_clusters == 0:
+        return []
     return [
         ClassifierHead.from_centroids(cluster_centroids(mat, labels), space_id)
         for space_id, mat in feats.spaces()
@@ -285,6 +292,8 @@ def _build_proxies(
 def training_stage(
     model: ToyModel,
     bank_raw: FeatureBank,
+    feats: FeatureBank,
+    heads: List[ClassifierHead],
     labels: PseudoLabels,
     agreements: CrossAgreement,
     cfg: PipelineConfig,
@@ -293,10 +302,11 @@ def training_stage(
 ) -> TrainingTrace:
     """One epoch of PK-sampled gradient steps; mutates ``model`` in place.
 
-    Heads are re-created from cluster centroids at entry (K changed), the
-    camera proxies are frozen from the stage-start features, and every
-    iteration re-projects its batch through the current projection so the
-    losses see evolving features.
+    ``feats`` is the bank projected through ``model`` at stage start and
+    ``heads`` are ``init_heads(feats, labels)``: the model takes them over
+    (K changed) and updates them in place. The camera proxies are frozen
+    from ``feats``, and every iteration re-projects its batch through the
+    current projection so the losses see evolving features.
     """
     if rng is None:
         rng = _epoch_rng(cfg.seed, 1 + epoch)
@@ -305,8 +315,7 @@ def training_stage(
         trace.skipped_stage = True
         return trace
 
-    feats = project_bank(model, bank_raw)
-    model.heads = init_heads(feats, labels)
+    model.heads = heads
     proxies = _build_proxies(feats, labels, cfg.loss_weights)
     members = labels.cluster_members()
 
@@ -475,26 +484,36 @@ def run(
         clust = clustering_stage(feats, cfg)
         labels, agreement = clust.labels, clust.agreement
 
+        heads = init_heads(feats, labels)
+
         raw_quality = refined_quality = retrieval = None
+        no_valid_query = False
         if has_gt:
             raw_quality = label_quality(labels.labels, bank_raw.gt_ids)
             if labels.k_clusters > 0:
-                heads = init_heads(feats, labels)
                 refined = _refined_hard_labels(
                     feats, heads, labels, agreement, cfg.refinement.beta
                 )
                 refined_quality = label_quality(refined, bank_raw.gt_ids)
             if bank_raw.camera_ids is not None:
-                retrieval = map_cmc(
-                    feats.global_feats,
-                    feats.global_feats,
-                    bank_raw.gt_ids,
-                    bank_raw.gt_ids,
-                    bank_raw.camera_ids,
-                    bank_raw.camera_ids,
-                )
+                try:
+                    retrieval = map_cmc(
+                        feats.global_feats,
+                        feats.global_feats,
+                        bank_raw.gt_ids,
+                        bank_raw.gt_ids,
+                        bank_raw.camera_ids,
+                        bank_raw.camera_ids,
+                    )
+                except NoValidQueryError:
+                    no_valid_query = True
 
-        trace = training_stage(model, bank_raw, labels, agreement, cfg, epoch=epoch)
+        trace = training_stage(
+            model, bank_raw, feats, heads, labels, agreement, cfg, epoch=epoch
+        )
+        warnings = trace.warnings_dict()
+        if no_valid_query:
+            warnings["no_valid_query"] = 1
         reports.append(
             EpochReport(
                 epoch=epoch,
@@ -502,7 +521,7 @@ def run(
                 n_outliers=labels.n_outliers,
                 mean_agreement=tuple(float(v) for v in agreement.mean_per_part()),
                 losses=tuple(trace.iterations),
-                warnings=trace.warnings_dict(),
+                warnings=warnings,
                 raw_quality=raw_quality,
                 refined_quality=refined_quality,
                 retrieval=retrieval,

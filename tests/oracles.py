@@ -7,6 +7,7 @@ the package so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -203,3 +204,89 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric, dtype=np.float64).ravel()
     denom = max(float(np.linalg.norm(numeric)), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    m = x.max()
+    return float(m + np.log(np.exp(x - m).sum()))
+
+
+def inter_camera_loss_oracle(feature, own_label, own_cam, proxies, weights):
+    """One sample's camera-proxy loss: (loss, gradient, skipped flag).
+
+    Positives share the sample's cluster under another camera; negatives
+    are the ``n_hard_negatives`` most similar other-cluster proxies, ties
+    to the smaller proxy index. No positive (or an outlier) skips.
+    """
+    f = np.asarray(feature, dtype=np.float64)
+    pos_idx = [
+        m
+        for m in range(proxies.n_proxies)
+        if proxies.proxy_cluster[m] == own_label and proxies.proxy_camera[m] != own_cam
+    ]
+    if own_label < 0 or not pos_idx:
+        return 0.0, np.zeros_like(f), True
+    sims = proxies.proxies @ f
+    neg_pool = [m for m in range(proxies.n_proxies) if proxies.proxy_cluster[m] != own_label]
+    neg_idx = sorted(neg_pool, key=lambda m: (-sims[m], m))[: weights.n_hard_negatives]
+    support = pos_idx + neg_idx
+    logits = sims[support] / weights.tau
+    log_probs = logits - _logsumexp(logits)
+    loss = float(-log_probs[: len(pos_idx)].mean())
+    probs = np.exp(log_probs)
+    pos_mean = proxies.proxies[pos_idx].mean(axis=0)
+    grad = (probs @ proxies.proxies[support] - pos_mean) / weights.tau
+    return loss, grad, False
+
+
+def inter_camera_loss_batch_oracle(features, labels, cams, proxies, weights):
+    """Per-sample loop over :func:`inter_camera_loss_oracle`; the batch
+    loss is the sum over samples / B and skipped samples contribute 0."""
+    f = np.asarray(features, dtype=np.float64)
+    b = f.shape[0]
+    grads = np.zeros_like(f)
+    total = 0.0
+    skipped = 0
+    for i in range(b):
+        loss_i, grad_i, was_skipped = inter_camera_loss_oracle(
+            f[i], int(labels[i]), int(cams[i]), proxies, weights
+        )
+        if was_skipped:
+            skipped += 1
+            continue
+        total += loss_i
+        grads[i] = grad_i / b
+    return total / b, grads, skipped
+
+
+def softmax_triplet_oracle(feats, labels):
+    """Hard-mined softmax-triplet loss with a per-anchor loop:
+    (mean loss over valid anchors, gradient, skipped anchors)."""
+    f = np.asarray(feats, dtype=np.float64)
+    b = f.shape[0]
+    dist = np.sqrt(pairwise_sq_oracle(f))
+    grad = np.zeros_like(f)
+    mined = []
+    skipped = 0
+    for i in range(b):
+        pos = [j for j in range(b) if j != i and labels[j] == labels[i]]
+        neg = [j for j in range(b) if labels[j] != labels[i]]
+        if not pos or not neg:
+            skipped += 1
+            continue
+        p = max(pos, key=lambda j: (dist[i, j], -j))
+        n = min(neg, key=lambda j: (dist[i, j], j))
+        mined.append((i, p, n))
+    if not mined:
+        return 0.0, grad, skipped
+    total = 0.0
+    for i, p, n in mined:
+        d_p, d_n = dist[i, p], dist[i, n]
+        total += -math.log(math.exp(d_n) / (math.exp(d_p) + math.exp(d_n)))
+        s = 1.0 / (1.0 + math.exp(d_n - d_p)) / len(mined)
+        u_pos = (f[i] - f[p]) / dist[i, p] if dist[i, p] > 0 else np.zeros_like(f[i])
+        u_neg = (f[i] - f[n]) / dist[i, n] if dist[i, n] > 0 else np.zeros_like(f[i])
+        grad[i] += s * (u_pos - u_neg)
+        grad[p] -= s * u_pos
+        grad[n] += s * u_neg
+    return total / len(mined), grad, skipped

@@ -37,7 +37,7 @@ from pplr.objectives import (
     LossWeights,
     aals_loss,
     cross_entropy,
-    inter_camera_loss,
+    inter_camera_loss_batch,
     softmax,
     softmax_triplet_loss,
 )
@@ -241,19 +241,21 @@ def test_criterion_4_gradient_correctness():
             proxy_cluster=rng.integers(0, 4, size=m),
         )
         lw = LossWeights(tau=float(rng.uniform(0.2, 1.0)), n_hard_negatives=int(rng.integers(2, 8)))
-        f = rng.standard_normal(4)
-        f /= np.linalg.norm(f)
-        own_label, own_cam = int(rng.integers(0, 4)), int(rng.integers(0, 3))
-        loss, grad, skipped = inter_camera_loss(f, own_label, own_cam, proxies, lw)
-        if skipped:
+        f = rng.standard_normal((4, 4))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        own_labels, own_cams = rng.integers(0, 4, size=4), rng.integers(0, 3, size=4)
+        loss, grad, skipped = inter_camera_loss_batch(f, own_labels, own_cams, proxies, lw)
+        if skipped == 4:
             continue
         errs.append(
             _fd_check(
-                lambda x: inter_camera_loss(x, own_label, own_cam, proxies, lw)[0], f, grad
+                lambda x: inter_camera_loss_batch(x, own_labels, own_cams, proxies, lw)[0],
+                f,
+                grad,
             )
         )
         done += 1
-    worst["inter_camera_loss"] = max(errs)
+    worst["inter_camera_loss_batch"] = max(errs)
 
     for name, err in worst.items():
         assert err <= 1e-4, f"{name}: worst relative error {err:.2e}"

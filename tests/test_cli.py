@@ -217,11 +217,11 @@ class TestCommandsComputeOnlyWhatTheyPrint:
         assert len(out.read_text().splitlines()) == 96
 
 
-def _tiny_bank(tmp_path, n_identities, samples_per_identity):
+def _tiny_bank(tmp_path, n_identities, samples_per_identity, *flags):
     bank = tmp_path / f"tiny{n_identities * samples_per_identity}.pplb"
     assert main([
         "simgen", "--n-identities", str(n_identities),
-        "--samples-per-identity", str(samples_per_identity), "--out", str(bank),
+        "--samples-per-identity", str(samples_per_identity), "--out", str(bank), *flags,
     ]) == 0
     return str(bank)
 
@@ -247,6 +247,17 @@ class TestTinyBanks:
         for cmd in self.COMMANDS:
             assert main([cmd, "--bank", bank, "--out", str(tmp_path / f"{cmd}.out")]) == 2, cmd
             assert "N=1" in capsys.readouterr().err
+
+    def test_one_camera_bank_pipeline_reports_no_retrieval(self, tmp_path):
+        # No query has a same-identity sample under another camera, so
+        # retrieval cannot be scored; the run records that and goes on.
+        bank = _tiny_bank(tmp_path, 1, 4, "--n-cameras", "1")
+        out = tmp_path / "report.jsonl"
+        assert main(["pipeline", "--bank", bank, "--out", str(out), "--epochs", "1"]) == 0
+        epoch = json.loads(out.read_text().splitlines()[1])
+        assert epoch["retrieval"] is None
+        assert epoch["warnings"]["no_valid_query"] == 1
+        assert epoch["raw_quality"] is not None
 
 
 class TestExitCodes:
@@ -276,3 +287,11 @@ class TestExitCodes:
         path = tmp_path / "zero.pplb"
         write_feature_bank(bank, path)
         assert main(["cluster", "--bank", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 4, "--n-cameras", "1")], ids=["one-sample", "one-camera"]
+    )
+    def test_eval_without_cross_camera_positive_is_2(self, tmp_path, capsys, shape):
+        bank = _tiny_bank(tmp_path, *shape)
+        assert main(["eval", "--bank", bank]) == 2
+        assert "cross-camera positive" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import map_cmc_oracle
+from pplr.core import NoValidQueryError
 from pplr.evaluate import average_precision, label_quality, map_cmc
 
 
@@ -99,6 +100,13 @@ class TestMapCmc:
         )
         assert result.n_queries == 1
         assert result.n_excluded == 1
+
+    def test_no_valid_query_is_a_typed_error(self):
+        # One camera: every same-identity gallery item is removed.
+        feats = np.array([[0.0], [1.0], [2.0]])
+        ids, cams = np.array([0, 0, 1]), np.zeros(3, dtype=np.int64)
+        with pytest.raises(NoValidQueryError, match="cross-camera positive"):
+            map_cmc(feats, feats, ids, ids, cams, cams)
 
 
 class TestLabelQuality:

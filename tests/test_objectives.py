@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, relative_error
+from oracles import (
+    fd_gradient,
+    inter_camera_loss_batch_oracle,
+    relative_error,
+    softmax_triplet_oracle,
+)
 from pplr.core import PseudoLabels, one_hot
 from pplr.objectives import (
     CameraProxySet,
@@ -11,7 +16,6 @@ from pplr.objectives import (
     aals_loss,
     build_camera_proxies,
     cross_entropy,
-    inter_camera_loss,
     inter_camera_loss_batch,
     softmax,
     softmax_forward,
@@ -109,31 +113,6 @@ class TestAalsLoss:
             assert relative_error(grad, fd) < 1e-4
 
 
-def triplet_oracle(feats, labels):
-    """Exhaustive mining + loss, straight from the definition."""
-    n = len(feats)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            dist[i, j] = math.sqrt(np.sum((feats[i] - feats[j]) ** 2))
-    terms = []
-    mined = []
-    skipped = 0
-    for i in range(n):
-        pos = [j for j in range(n) if j != i and labels[j] == labels[i]]
-        neg = [j for j in range(n) if labels[j] != labels[i]]
-        if not pos or not neg:
-            skipped += 1
-            continue
-        hardest_pos = max(pos, key=lambda j: (dist[i, j], -j))
-        hardest_neg = min(neg, key=lambda j: (dist[i, j], j))
-        d_p, d_n = dist[i, hardest_pos], dist[i, hardest_neg]
-        terms.append(-math.log(math.exp(d_n) / (math.exp(d_p) + math.exp(d_n))))
-        mined.append((i, hardest_pos, hardest_neg))
-    loss = sum(terms) / len(terms) if terms else 0.0
-    return loss, mined, skipped
-
-
 class TestSoftmaxTriplet:
     def test_equal_distances_give_log_two(self):
         feats = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
@@ -159,7 +138,7 @@ class TestSoftmaxTriplet:
             feats = rng.standard_normal((8, 4))
             labels = rng.integers(0, 3, size=8)
             loss, _, skipped = softmax_triplet_loss(feats, labels)
-            ref_loss, _, ref_skipped = triplet_oracle(feats, labels)
+            ref_loss, _, ref_skipped = softmax_triplet_oracle(feats, labels)
             assert abs(loss - ref_loss) < 1e-10
             assert skipped == ref_skipped
 
@@ -236,6 +215,15 @@ class TestCameraProxies:
         labels = PseudoLabels(labels=np.array([0]), k_clusters=1)
         with pytest.raises(ValueError, match="camera"):
             build_camera_proxies(np.ones((1, 2)), labels, None)
+
+
+def inter_camera_loss(feature, own_label, own_cam, proxies, weights):
+    """One sample through the batch form: (loss, gradient, skipped flag)."""
+    loss, grad, skipped = inter_camera_loss_batch(
+        np.asarray(feature)[None, :], np.array([own_label]), np.array([own_cam]),
+        proxies, weights,
+    )
+    return loss, grad[0], skipped == 1
 
 
 class TestInterCameraLoss:
@@ -325,6 +313,171 @@ class TestInterCameraLoss:
             feats[perm], labels[perm], cams[perm], prox, w
         )
         assert abs(base - permuted) < 1e-12
+
+
+class TestBatchLossesAgainstLoops:
+    """The batch losses against the per-sample loop forms in ``oracles``."""
+
+    def test_random_batches_match_loop_oracles(self):
+        # Continuous random draws: no two similarities or distances tie.
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            b, m, d = int(rng.integers(1, 24)), int(rng.integers(0, 24)), int(rng.integers(2, 8))
+            prox = CameraProxySet(
+                proxies=rng.standard_normal((m, d)),
+                proxy_camera=rng.integers(0, 3, size=m),
+                proxy_cluster=rng.integers(0, 5, size=m),
+            )
+            w = LossWeights(
+                tau=float(rng.uniform(0.2, 1.0)), n_hard_negatives=int(rng.integers(1, 10))
+            )
+            feats = rng.standard_normal((b, d))
+            labels = rng.integers(-1, 5, size=b)
+            cams = rng.integers(0, 3, size=b)
+            loss, grad, skipped = inter_camera_loss_batch(feats, labels, cams, prox, w)
+            ref_loss, ref_grad, ref_skipped = inter_camera_loss_batch_oracle(
+                feats, labels, cams, prox, w
+            )
+            assert skipped == ref_skipped
+            assert abs(loss - ref_loss) <= 1e-12
+            assert np.abs(grad - ref_grad).max(initial=0.0) <= 1e-12
+
+            labels = rng.integers(0, 4, size=b)
+            loss, grad, skipped = softmax_triplet_loss(feats, labels)
+            ref_loss, ref_grad, ref_skipped = softmax_triplet_oracle(feats, labels)
+            assert skipped == ref_skipped
+            assert abs(loss - ref_loss) <= 1e-12
+            assert np.abs(grad - ref_grad).max(initial=0.0) <= 1e-12
+
+    def test_tie_heavy_batches_match_loop_oracles(self):
+        # Half-integer entries: every similarity and squared distance is
+        # exact, so the many ties resolve the same way in both forms.
+        rng = np.random.default_rng(54)
+        for _ in range(100):
+            m = 40
+            prox = CameraProxySet(
+                proxies=np.round(rng.standard_normal((m, 6)) * 2) / 2,
+                proxy_camera=rng.integers(0, 3, size=m),
+                proxy_cluster=rng.integers(0, 6, size=m),
+            )
+            w = LossWeights(tau=0.5, n_hard_negatives=int(rng.integers(1, 10)))
+            feats = np.round(rng.standard_normal((24, 6)) * 2) / 2
+            labels = rng.integers(0, 6, size=24)
+            cams = rng.integers(0, 3, size=24)
+            for ours, ref in [
+                (inter_camera_loss_batch(feats, labels, cams, prox, w),
+                 inter_camera_loss_batch_oracle(feats, labels, cams, prox, w)),
+                (softmax_triplet_loss(feats, labels), softmax_triplet_oracle(feats, labels)),
+            ]:
+                assert ours[2] == ref[2]
+                assert abs(ours[0] - ref[0]) <= 1e-12
+                assert np.abs(ours[1] - ref[1]).max() <= 1e-12
+
+    @staticmethod
+    def tied_proxies():
+        # Dyadic entries: every similarity with [1, 0] is exact. Proxies
+        # 3, 4 and 5 tie at 0.25 with different vectors, so which of them
+        # is a hard negative shows in the gradient.
+        return CameraProxySet(
+            proxies=np.array(
+                [
+                    [1.0, 0.0],  # own cluster, own camera: neither
+                    [0.75, 0.25],  # the positive
+                    [0.5, 0.0],
+                    [0.25, 0.5],
+                    [0.25, -0.5],
+                    [0.25, 0.0],
+                    [-0.5, 0.0],
+                ]
+            ),
+            proxy_camera=np.array([0, 1, 0, 1, 1, 0, 0]),
+            proxy_cluster=np.array([0, 0, 1, 2, 1, 3, 2]),
+        )
+
+    @pytest.mark.parametrize("n_hard, negatives", [(2, [2, 3]), (3, [2, 3, 4])])
+    def test_hard_negative_ties_go_to_smaller_index(self, n_hard, negatives):
+        prox = self.tied_proxies()
+        w = LossWeights(tau=0.5, n_hard_negatives=n_hard)
+        feats = np.array([[1.0, 0.0], [1.0, 0.0]])
+        loss, grad, skipped = inter_camera_loss_batch(
+            feats, np.array([0, 0]), np.array([0, 0]), prox, w
+        )
+        support = [1] + negatives
+        logits = prox.proxies[support, 0] / w.tau
+        probs = np.exp(logits) / np.exp(logits).sum()
+        expected_grad = (probs @ prox.proxies[support] - prox.proxies[1]) / w.tau / 2
+        assert skipped == 0
+        assert abs(loss - -math.log(probs[0])) < 1e-12
+        assert np.abs(grad - expected_grad).max() < 1e-12
+
+    def test_hard_negatives_beyond_the_pool_take_it_all(self):
+        prox = self.tied_proxies()
+        feats = np.array([[0.6, 0.8], [0.8, -0.6]])
+        labels, cams = np.array([0, 0]), np.array([0, 0])
+        every = inter_camera_loss_batch(feats, labels, cams, prox, LossWeights(n_hard_negatives=5))
+        beyond = inter_camera_loss_batch(feats, labels, cams, prox, LossWeights(n_hard_negatives=50))
+        assert every[0] == beyond[0] and np.array_equal(every[1], beyond[1])
+        ref = inter_camera_loss_batch_oracle(feats, labels, cams, prox, LossWeights(n_hard_negatives=50))
+        assert abs(beyond[0] - ref[0]) < 1e-12 and np.abs(beyond[1] - ref[1]).max() < 1e-12
+
+    def test_empty_negative_pool(self):
+        # One cluster only: the support is the single positive, so its
+        # softmax probability is 1 and loss and gradient vanish.
+        prox = CameraProxySet(
+            proxies=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            proxy_camera=np.array([0, 1]),
+            proxy_cluster=np.array([0, 0]),
+        )
+        loss, grad, skipped = inter_camera_loss_batch(
+            np.array([[0.6, 0.8]]), np.array([0]), np.array([0]), prox, LossWeights()
+        )
+        assert skipped == 0 and loss == 0.0 and np.all(grad == 0.0)
+
+    def test_empty_proxy_set_skips_every_sample(self):
+        prox = CameraProxySet(
+            proxies=np.zeros((0, 2)),
+            proxy_camera=np.zeros(0, dtype=np.int64),
+            proxy_cluster=np.zeros(0, dtype=np.int64),
+        )
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        loss, grad, skipped = inter_camera_loss_batch(
+            feats, np.array([0, 1, 0]), np.array([0, 1, 2]), prox, LossWeights()
+        )
+        assert skipped == 3 and loss == 0.0 and np.all(grad == 0.0)
+
+    def test_all_skipped_batches(self):
+        prox = proxy_fixture()
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        # Outliers only.
+        loss, grad, skipped = inter_camera_loss_batch(
+            feats, np.array([-1, -1, -1]), np.array([0, 1, 0]), prox, LossWeights()
+        )
+        assert skipped == 3 and loss == 0.0 and np.all(grad == 0.0)
+        # Clusters 1 and 2 have one proxy each, under cameras 0 and 1: a
+        # sample on that camera has no cross-camera positive.
+        loss, grad, skipped = inter_camera_loss_batch(
+            feats, np.array([1, 2, 1]), np.array([0, 1, 0]), prox, LossWeights()
+        )
+        assert skipped == 3 and loss == 0.0 and np.all(grad == 0.0)
+
+    def test_triplet_mining_ties_go_to_smaller_index(self):
+        # Anchor 0's positives 1 and 2 tie at distance 1, its negatives 3,
+        # 4 and 5 at distance 2; all squared distances are exact.
+        feats = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [0.0, -2.0]]
+        )
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        loss, grad, skipped = softmax_triplet_loss(feats, labels)
+        ref_loss, ref_grad, ref_skipped = softmax_triplet_oracle(feats, labels)
+        assert skipped == ref_skipped == 0
+        assert abs(loss - ref_loss) < 1e-12
+        assert np.abs(grad - ref_grad).max() < 1e-12
+
+    def test_triplet_batch_without_a_valid_anchor(self):
+        feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for labels in (np.array([0, 0, 0]), np.array([0, 1, 2])):
+            loss, grad, skipped = softmax_triplet_loss(feats, labels)
+            assert skipped == 3 and loss == 0.0 and np.all(grad == 0.0)
 
 
 class TestTotalLoss:

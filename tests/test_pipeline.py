@@ -140,7 +140,8 @@ class TestTrainingStage:
         before = model.projection.copy()
         feats = project_bank(model, bank)
         result = clustering_stage(feats, cfg)
-        trace = training_stage(model, bank, result.labels, result.agreement, cfg)
+        heads = init_heads(feats, result.labels)
+        trace = training_stage(model, bank, feats, heads, result.labels, result.agreement, cfg)
         assert np.array_equal(model.projection, before)
         assert all(math.isfinite(it["total"]) for it in trace.iterations)
 
@@ -156,7 +157,8 @@ class TestTrainingStage:
             feats = project_bank(model, bank)
             result = clustering_stage(feats, cfg)
             traces[mode] = training_stage(
-                model, bank, result.labels, result.agreement, cfg,
+                model, bank, feats, init_heads(feats, result.labels),
+                result.labels, result.agreement, cfg,
                 epoch=0, rng=np.random.default_rng(5),
             ).iterations
         first_pplr, first_base = traces["pplr"][0], traces["baseline"][0]
@@ -181,7 +183,8 @@ class TestTrainingStage:
             feats = project_bank(model, bank)
             result = clustering_stage(feats, cfg)
             trace = training_stage(
-                model, bank, result.labels, result.agreement, cfg,
+                model, bank, feats, init_heads(feats, result.labels),
+                result.labels, result.agreement, cfg,
                 epoch=0, rng=np.random.default_rng(5),
             )
             losses[per_space] = trace.iterations[0]["cam"]
@@ -196,7 +199,7 @@ class TestTrainingStage:
         model = initial_model(cfg, bank)
         labels = PseudoLabels(labels=np.full(bank.n_samples, -1), k_clusters=0)
         ca = CrossAgreement(scores=np.zeros((bank.n_samples, bank.n_parts)))
-        trace = training_stage(model, bank, labels, ca, cfg)
+        trace = training_stage(model, bank, project_bank(model, bank), [], labels, ca, cfg)
         assert trace.skipped_stage
         assert trace.iterations == []
 
@@ -336,8 +339,8 @@ class TestSingleStepOracle:
             for s in range(3)
         ]
 
-        training_stage(model, bank, labels, agreements, cfg, epoch=6,
-                       rng=np.random.default_rng(99))
+        training_stage(model, bank, feats0, init_heads(feats0, labels), labels, agreements,
+                       cfg, epoch=6, rng=np.random.default_rng(99))
 
         expected_proj = proj0 - 0.3 * grad_proj
         assert np.abs(model.projection - expected_proj).max() < 1e-8
@@ -375,6 +378,26 @@ class TestRun:
         assert len(first["losses"]) == 5
         assert first["raw_quality"] is not None
         assert first["retrieval"] is not None
+
+    def test_one_projection_and_head_set_per_epoch(self, monkeypatch):
+        import pplr.pipeline as pipeline
+
+        calls = {"project_bank": 0, "init_heads": 0}
+        for name in calls:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        cfg = PipelineConfig(
+            epochs=2, iters_per_epoch=2, batch_p=4, batch_k=2, seed=4,
+            proj_dim=12, k_agreement=7, dbscan=DbscanParams(eps=0.4),
+        )
+        reports, _ = run(cfg, small_noisy_bank())
+        assert all(r.k_clusters > 0 and r.refined_quality is not None for r in reports)
+        assert calls == {"project_bank": 2, "init_heads": 2}
 
     def test_quality_metrics_absent_without_gt(self):
         base = small_noisy_bank()

@@ -3,6 +3,19 @@ Jaccard distance used as the clustering metric.
 
 Everything here is exact search; the target scale is a few thousand
 samples, so N x N float64 matrices are fine.
+
+Ranking never sorts a whole row. :func:`_stable_topk` finds each row's
+k-th smallest value with ``np.partition``, keeps every entry at or below
+it (so all ties at the cut-off are kept), and stable-sorts only those
+candidates by value. Candidates enter the sort in ascending column order,
+so equal values keep the smaller index first, exactly as in a stable
+argsort of the full row; this holds for duplicate rows too, where a
+sample's own index can sit behind an equal neighbour.
+
+Matrices built here are symmetric, non-negative and zero on the diagonal
+by construction, so they skip the copy and the shape, sign and symmetry
+checks of :class:`DistanceMatrix` and are only checked to be finite; a
+matrix passed in from outside is still checked in full.
 """
 
 from __future__ import annotations
@@ -42,6 +55,21 @@ class DistanceMatrix:
             raise ValueError("jaccard distances must lie in [0, 1]")
         object.__setattr__(self, "values", _frozen(arr))
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, metric: str) -> "DistanceMatrix":
+        """Wrap a float64 matrix that this module built and owns: frozen in
+        place, without the copy of ``__post_init__``. Of its checks only
+        finiteness remains, the one invariant that construction does not
+        guarantee (squared norms can overflow; a k-reciprocal encoding
+        with two empty rows divides 0 by 0)."""
+        if not np.isfinite(values).all():
+            raise NumericalError("non-finite distance entry")
+        out = object.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "metric", metric)
+        return out
+
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
@@ -59,7 +87,17 @@ def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
     np.maximum(d, 0.0, out=d)
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d, METRIC_SQ_EUCLIDEAN)
+    return DistanceMatrix._trusted(d, METRIC_SQ_EUCLIDEAN)
+
+
+def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of ``np.argsort(values, axis=1, kind="stable")``,
+    found without sorting whole rows (1 <= k <= number of columns)."""
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(values <= kth[:, None])
+    order = np.lexsort((values[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(values.shape[0]))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def topk_ranked_lists(dist: DistanceMatrix, k: int, space_id: str) -> RankedLists:
@@ -69,18 +107,37 @@ def topk_ranked_lists(dist: DistanceMatrix, k: int, space_id: str) -> RankedList
         raise ValueError(f"k must satisfy 1 <= k < N; got k={k}, N={n}")
     masked = dist.values.copy()
     np.fill_diagonal(masked, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")
-    return RankedLists(space_id=space_id, k=k, lists=order[:, :k])
+    return RankedLists(space_id=space_id, k=k, lists=_stable_topk(masked, k))
 
 
 def _top_membership(rank: np.ndarray, depth: int) -> np.ndarray:
     """Boolean matrix: entry (i, j) true iff j is within the first ``depth``
-    positions of row i's full ranking (the row's own index included)."""
+    positions of row i's ranking (the row's own index included)."""
     n = rank.shape[0]
     member = np.zeros((n, n), dtype=bool)
     rows = np.repeat(np.arange(n), depth)
     member[rows, rank[:, :depth].ravel()] = True
     return member
+
+
+def _expanded_sets(recip: np.ndarray, recip_half: np.ndarray) -> np.ndarray:
+    """Row i of ``recip`` joined with every half-width set ``recip_half[q]``,
+    q in row i, that has at least two thirds of its members in row i."""
+    n = recip.shape[0]
+    # Members of each half-width set, padded with index n: an extra column
+    # that is false when read and ignored when written.
+    h_rows, h_cols = np.nonzero(recip_half)
+    sizes = np.bincount(h_rows, minlength=n)
+    members = np.full((n, sizes.max()), n)
+    members[h_rows, np.arange(h_rows.size) - (np.cumsum(sizes) - sizes)[h_rows]] = h_cols
+    out = np.zeros((n, n + 1), dtype=bool)
+    out[:, :n] = recip
+    rows, qs = np.nonzero(recip)
+    candidates = members[qs]
+    overlap = np.count_nonzero(out[rows[:, None], candidates], axis=1)
+    taken = 3 * overlap >= 2 * sizes[qs]
+    out[rows[taken, None], candidates[taken]] = True
+    return out[:, :n]
 
 
 def k_reciprocal_jaccard(
@@ -105,6 +162,17 @@ def k_reciprocal_jaccard(
     5. jaccard(i, j) = 1 - sum(min(V_i, V_j)) / sum(max(V_i, V_j));
     6. blend with the normalized Euclidean matrix by ``blend_lambda`` and
        symmetrize as (D + D^T) / 2.
+
+    Rankings are the first k1 + 1 columns of a stable row sort of the
+    normalized distances (see :func:`_stable_topk`): ties go to the smaller
+    index, and with duplicate rows a sample's own index need not come
+    first. Every later step reads only that prefix.
+
+    The sum of minima in step 5 is accumulated one column m of V at a time,
+    over the pairs of rows in that column's support. A pair (i, j) thus
+    receives its terms in ascending m, the order of a per-pair sum over m,
+    so the result does not depend on how the work is batched. Step 4 is a
+    running sum over the k2 ranked rows, then one division by k2.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
@@ -118,7 +186,7 @@ def k_reciprocal_jaccard(
     dist = pairwise_sq_euclidean(x).values
     dmax = dist.max()
     norm_dist = dist / dmax if dmax > 0 else dist.copy()
-    rank = np.argsort(norm_dist, axis=1, kind="stable")
+    rank = _stable_topk(norm_dist, k1 + 1)
 
     in_top = _top_membership(rank, k1 + 1)
     recip = in_top & in_top.T
@@ -127,28 +195,23 @@ def k_reciprocal_jaccard(
     recip_half = in_top_half & in_top_half.T
 
     v = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        expanded = recip[i].copy()
-        for q in np.flatnonzero(recip[i]):
-            candidate = recip_half[q]
-            overlap = np.count_nonzero(candidate & recip[i])
-            if 3 * overlap >= 2 * np.count_nonzero(candidate):
-                expanded |= candidate
+    for i, expanded in enumerate(_expanded_sets(recip, recip_half)):
         idx = np.flatnonzero(expanded)
         weights = np.exp(-norm_dist[i, idx])
         v[i, idx] = weights / weights.sum()
 
     if k2 > 1:
-        v = np.mean(v[rank[:, :k2]], axis=1)
+        total = v[rank[:, 0]]
+        for t in range(1, k2):
+            total += v[rank[:, t]]
+        v = total / k2
 
     row_sums = v.sum(axis=1)
-    cols_per_row = [np.flatnonzero(v[i]) for i in range(n)]
-    rows_per_col = [np.flatnonzero(v[:, m]) for m in range(n)]
     min_sums = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for m in cols_per_row[i]:
-            rows = rows_per_col[m]
-            min_sums[i, rows] += np.minimum(v[i, m], v[rows, m])
+    for col in np.ascontiguousarray(v.T):
+        support = np.flatnonzero(col)
+        weights = col[support]
+        min_sums[np.ix_(support, support)] += np.minimum.outer(weights, weights)
     max_sums = row_sums[:, None] + row_sums[None, :] - min_sums
     jaccard = 1.0 - min_sums / max_sums
 
@@ -156,4 +219,4 @@ def k_reciprocal_jaccard(
     final = 0.5 * (final + final.T)
     np.clip(final, 0.0, 1.0, out=final)
     np.fill_diagonal(final, 0.0)
-    return DistanceMatrix(final, METRIC_JACCARD)
+    return DistanceMatrix._trusted(final, METRIC_JACCARD)

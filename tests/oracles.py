@@ -129,6 +129,67 @@ def k_reciprocal_oracle(
     return np.clip(final, 0.0, 1.0)
 
 
+def k_reciprocal_loop_oracle(
+    features: np.ndarray, k1: int, k2: int, blend_lambda: float
+) -> np.ndarray:
+    """The loop form of ``k_reciprocal_jaccard``: full stable row sorts, a
+    per-row loop over expansion candidates, the query-expansion mean over a
+    3-D gather, and sums of minima accumulated per (row, column) of V.
+
+    Every floating-point operation is the one the package performs, in the
+    same order, so the two must agree bit for bit (``np.array_equal``)."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    sq = np.einsum("ij,ij->i", x, x)
+    dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(dist, 0.0, out=dist)
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    dmax = dist.max()
+    norm_dist = dist / dmax if dmax > 0 else dist.copy()
+    rank = np.argsort(norm_dist, axis=1, kind="stable")
+
+    def reciprocal(depth: int) -> np.ndarray:
+        member = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            member[i, rank[i, :depth]] = True
+        return member & member.T
+
+    recip = reciprocal(k1 + 1)
+    recip_half = reciprocal(int(round(k1 / 2)) + 1)
+    v = np.zeros((n, n))
+    for i in range(n):
+        expanded = recip[i].copy()
+        for q in np.flatnonzero(recip[i]):
+            candidate = recip_half[q]
+            overlap = np.count_nonzero(candidate & recip[i])
+            if 3 * overlap >= 2 * np.count_nonzero(candidate):
+                expanded |= candidate
+        idx = np.flatnonzero(expanded)
+        weights = np.exp(-norm_dist[i, idx])
+        v[i, idx] = weights / weights.sum()
+
+    if k2 > 1:
+        v = np.mean(v[rank[:, :k2]], axis=1)
+
+    row_sums = v.sum(axis=1)
+    cols_per_row = [np.flatnonzero(v[i]) for i in range(n)]
+    rows_per_col = [np.flatnonzero(v[:, m]) for m in range(n)]
+    min_sums = np.zeros((n, n))
+    for i in range(n):
+        for m in cols_per_row[i]:
+            rows = rows_per_col[m]
+            min_sums[i, rows] += np.minimum(v[i, m], v[rows, m])
+    max_sums = row_sums[:, None] + row_sums[None, :] - min_sums
+    jaccard = 1.0 - min_sums / max_sums
+
+    final = (1.0 - blend_lambda) * jaccard + blend_lambda * norm_dist
+    final = 0.5 * (final + final.T)
+    np.clip(final, 0.0, 1.0, out=final)
+    np.fill_diagonal(final, 0.0)
+    return final
+
+
 def average_precision_oracle(relevance: Sequence[bool]) -> float:
     hits = 0
     total = 0.0

@@ -1,13 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import k_reciprocal_oracle, pairwise_sq_oracle
+from oracles import k_reciprocal_loop_oracle, k_reciprocal_oracle, pairwise_sq_oracle
+from pplr.core import NumericalError
 from pplr.neighbors import (
     DistanceMatrix,
+    _stable_topk,
     k_reciprocal_jaccard,
     pairwise_sq_euclidean,
     topk_ranked_lists,
 )
+
+
+def stable_topk_reference(values, k):
+    return np.argsort(values, axis=1, kind="stable")[:, :k]
+
+
+def masked_reference(dist, k):
+    masked = dist.values.copy()
+    np.fill_diagonal(masked, np.inf)
+    return stable_topk_reference(masked, k)
+
+
+def grid_points(rng, n=300):
+    """Points on the {0,1,2}^2 grid: 9 distinct positions, heavy ties."""
+    return rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+
+
+def with_duplicates(x):
+    """Second half of the rows repeats the first, so a duplicate of smaller
+    index ranks ahead of a sample's own index."""
+    x = x.copy()
+    half = x.shape[0] // 2
+    x[half : 2 * half] = x[:half]
+    return x
 
 
 class TestPairwiseSqEuclidean:
@@ -28,6 +57,26 @@ class TestPairwiseSqEuclidean:
         d = pairwise_sq_euclidean(x).values
         assert np.all(np.diagonal(d) == 0.0)
         assert np.array_equal(d, d.T)
+
+    def test_values_read_only(self):
+        d = pairwise_sq_euclidean(np.eye(3))
+        with pytest.raises(ValueError):
+            d.values[0, 1] = 0.0
+
+    def test_overflowing_norms_raise_numerical_error(self):
+        with pytest.raises(NumericalError, match="non-finite distance"):
+            pairwise_sq_euclidean(np.array([[1e200, 0.0], [0.0, 1e200]]))
+
+    def test_own_matrices_skip_post_init(self, monkeypatch):
+        # Matrices built in the module are valid by construction; the full
+        # N x N validation is for matrices passed in from outside.
+        def refuse(self):
+            raise AssertionError("re-validated an internal matrix")
+
+        monkeypatch.setattr(DistanceMatrix, "__post_init__", refuse)
+        x = np.random.default_rng(8).standard_normal((12, 3))
+        pairwise_sq_euclidean(x)
+        k_reciprocal_jaccard(x, k1=4, k2=2)
 
 
 class TestDistanceMatrixInvariants:
@@ -74,6 +123,20 @@ class TestTopkRankedLists:
         lists = topk_ranked_lists(DistanceMatrix(values), 2, "global")
         assert lists.lists[0].tolist() == [4, 7]
 
+    @pytest.mark.parametrize("case", ["random", "grid", "duplicates"])
+    def test_equals_full_stable_argsort(self, case):
+        rng = np.random.default_rng(17)
+        x = {
+            "random": rng.standard_normal((60, 5)),
+            "grid": grid_points(rng),
+            "duplicates": with_duplicates(rng.standard_normal((41, 4))),
+        }[case]
+        d = pairwise_sq_euclidean(x)
+        n = d.n_samples
+        for k in sorted({1, 7, 20, n - 1}):
+            got = topk_ranked_lists(d, k, "global").lists
+            assert np.array_equal(got, masked_reference(d, k)), f"k={k}"
+
     def test_k_too_large(self):
         d = pairwise_sq_euclidean(np.eye(4))
         with pytest.raises(ValueError):
@@ -101,6 +164,23 @@ class TestTopkRankedLists:
         a = topk_ranked_lists(euclid, 7, "global").lists
         b = topk_ranked_lists(cosine, 7, "global").lists
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_topk_matches_stable_argsort_on_small_integer_matrices(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    upper = data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 3)), label="upper")
+    values = np.triu(upper, 1).astype(np.float64)
+    values = values + values.T
+    dist = DistanceMatrix(values)
+    k = data.draw(st.integers(1, n - 1), label="k")
+    got = topk_ranked_lists(dist, k, "global").lists
+    assert np.array_equal(got, masked_reference(dist, k))
+    # Unmasked, as k_reciprocal_jaccard ranks: zero-distance ties can put a
+    # smaller index ahead of a row's own, and the depth may reach N.
+    depth = data.draw(st.integers(1, n), label="depth")
+    assert np.array_equal(_stable_topk(values, depth), stable_topk_reference(values, depth))
 
 
 def two_blob_features(rng, n_a=5, n_b=5, dim=4, gap=8.0, spread=0.05):
@@ -152,6 +232,29 @@ class TestKReciprocalJaccard:
         assert np.array_equal(v, v.T)
         assert np.all(np.diagonal(v) == 0.0)
         assert v.min() >= 0.0 and v.max() <= 1.0
+
+    def test_bit_exact_against_loop_oracle(self):
+        rng = np.random.default_rng(18)
+        blobs = np.vstack([two_blob_features(rng, 12, 14), two_blob_features(rng, 9, 5) + 3.0])
+        dup = with_duplicates(rng.standard_normal((30, 4)))
+        own = np.argsort(pairwise_sq_euclidean(dup).values, axis=1, kind="stable")[:, 0]
+        assert np.any(own != np.arange(30)), "a duplicate must rank ahead of its own row"
+        grid = grid_points(rng, 40) + rng.standard_normal((40, 2)) * 1e-3
+        banks = [("random", rng.standard_normal((35, 6))), ("blobs", blobs),
+                 ("duplicates", dup), ("near-grid", grid)]
+        for name, x in banks:
+            for k1 in (int(rng.integers(2, 12)), x.shape[0] - 1):
+                for k2 in sorted({1, int(rng.integers(1, k1 + 1)), k1}):
+                    for lam in (0.0, 0.5, 1.0):
+                        ours = k_reciprocal_jaccard(x, k1, k2, lam).values
+                        ref = k_reciprocal_loop_oracle(x, k1, k2, lam)
+                        assert np.array_equal(ours, ref), f"{name} k1={k1} k2={k2} lambda={lam}"
+
+    def test_empty_encodings_raise_numerical_error(self):
+        # Five identical rows with k1 = 1: rows 2-4 are in no one's top-2,
+        # so their encodings are empty and their pairwise Jaccard is 0 / 0.
+        with pytest.raises(NumericalError, match="non-finite distance"):
+            k_reciprocal_jaccard(np.zeros((5, 3)), k1=1, k2=1)
 
     def test_parameter_validation(self):
         x = np.random.default_rng(0).standard_normal((10, 3))

@@ -1,7 +1,9 @@
 """The training losses and their analytic gradients.
 
-Every loss returns its gradient alongside the value; this script spells
-out the hand cases and verifies one gradient against central finite
+The classifier heads train on cross-entropy against their targets, whose
+gradient with respect to the logits is softmax(z) - target; the feature
+losses return their gradient alongside the value. This script spells out
+the hand cases and verifies one gradient against central finite
 differences, the same check the test suite runs at scale.
 """
 
@@ -12,24 +14,30 @@ import numpy as np
 from pplr import (
     LossWeights,
     PseudoLabels,
-    aals_loss,
+    aals_targets,
     build_camera_proxies,
-    cross_entropy,
     inter_camera_loss_batch,
-    softmax_forward,
     softmax_triplet_loss,
     total_loss,
 )
+from pplr.objectives import log_softmax, softmax
 
-# Cross-entropy against a uniform pair of predictions is log 2.
-loss, grad = cross_entropy(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+# Cross-entropy of a uniform target against a uniform prediction is log 2.
+target, logits = np.array([0.5, 0.5]), np.array([0.0, 0.0])
+loss = float(-(target * log_softmax(logits)).sum())
+grad = softmax(logits) - target
 print(f"H(u, u) = {loss:.6f} (log 2 = {math.log(2):.6f}), grad = {grad}")
 
-# The smoothing loss interpolates between hard cross-entropy (alpha=1)
-# and the uniform KL term (alpha=0).
-probs = softmax_forward(np.array([2.0, 0.5, -1.0])).probs
+# The smoothing loss of a part head interpolates between hard
+# cross-entropy (alpha=1) and the uniform KL term (alpha=0), as the train
+# step computes it. It is cross-entropy against the AALS target less the
+# constant (1 - alpha) log K, so its gradient is softmax(z) minus that target.
+log_q = log_softmax(np.array([2.0, 0.5, -1.0]))
+k = log_q.size
 for alpha in (1.0, 0.5, 0.0):
-    value, _ = aals_loss(0, alpha, probs)
+    value = alpha * -log_q[0] + (1.0 - alpha) * (-np.log(k) - log_q.mean())
+    smoothed = -(aals_targets(np.array([0]), k, np.array([alpha]))[0] * log_q).sum()
+    assert abs(value - (smoothed - (1.0 - alpha) * np.log(k))) < 1e-12
     print(f"aals_loss(label=0, alpha={alpha:3.1f}) = {value:.4f}")
 
 # Hard-mined triplet: equal positive and negative distances give log 2.

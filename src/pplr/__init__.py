@@ -18,10 +18,8 @@ from .core import (
     PPLRError,
     PseudoLabels,
     RankedLists,
-    SoftLabel,
     l2_normalize,
     normalize_bank,
-    one_hot,
 )
 from .evaluate import (
     LabelQuality,
@@ -47,11 +45,8 @@ from .objectives import (
     CameraProxySet,
     ClassifierHead,
     LossWeights,
-    aals_loss,
     build_camera_proxies,
-    cross_entropy,
     inter_camera_loss_batch,
-    softmax_forward,
     softmax_triplet_loss,
     total_loss,
 )
@@ -71,12 +66,9 @@ from .pipeline import (
 )
 from .refine import (
     RefinementConfig,
-    aals_target,
     aals_targets,
     effective_alpha,
-    pglr_target,
     pglr_targets,
-    pglr_weights,
 )
 
 __version__ = "0.1.0"

@@ -372,13 +372,13 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     trace = training_stage(
         model, bank, feats, heads, result.labels, result.agreement, cfg.pipeline
     )
+    model_out = args.model_out or cfg.paths.get("model_out")
+    if model_out:
+        save_model(model, model_out)
     lines = [json.dumps({"config": cfg.echo()}, sort_keys=True)]
     lines += [json.dumps(it, sort_keys=True) for it in trace.iterations]
     lines.append(json.dumps({"warnings": trace.warnings_dict()}, sort_keys=True))
     Path(out).write_text("\n".join(lines) + "\n", "utf-8")
-    model_out = args.model_out or cfg.paths.get("model_out")
-    if model_out:
-        save_model(model, model_out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Shared domain types: feature banks, pseudo-labels, ranked lists, soft labels.
+"""Shared domain types: feature banks, pseudo-labels, ranked lists, agreement scores.
 
 Every container in this module is immutable after construction (frozen
 dataclass holding read-only array copies), so instances can be shared freely
@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 NORM_ATOL = 1e-6
-PROB_SUM_ATOL = 1e-6
 
 GLOBAL_SPACE = "global"
 
@@ -71,15 +70,6 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     if zero.size:
         raise NumericalError(f"zero-norm row {int(zero[0])}")
     return m / norms[:, None]
-
-
-def one_hot(label: int, k: int) -> np.ndarray:
-    """Length-k float64 indicator vector for ``label``."""
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} clusters")
-    vec = np.zeros(k, dtype=np.float64)
-    vec[label] = 1.0
-    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +182,6 @@ class PseudoLabels:
         return self.labels.shape[0]
 
     @property
-    def outlier_mask(self) -> np.ndarray:
-        return self.labels < 0
-
-    @property
     def n_outliers(self) -> int:
         return int(np.count_nonzero(self.labels < 0))
 
@@ -268,34 +254,3 @@ class CrossAgreement:
 
     def mean_per_part(self) -> np.ndarray:
         return self.scores.mean(axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class SoftLabel:
-    """A probability vector over the current K clusters."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("non-finite probability entry")
-        if arr.min() < 0.0:
-            raise ValueError("negative probability entry")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", _frozen(arr))
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[0]
-
-
-def as_probs(values) -> np.ndarray:
-    """Coerce a SoftLabel or array-like into a validated probability vector."""
-    if isinstance(values, SoftLabel):
-        return values.probs
-    return SoftLabel(np.asarray(values, dtype=np.float64)).probs

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DataFormatError, FeatureBank, NumericalError
+from .core import DataFormatError, FeatureBank
 
 MAGIC = b"PPLB"
 VERSION = 1

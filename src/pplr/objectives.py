@@ -2,9 +2,11 @@
 
 All losses are plain numpy with hand-derived gradients; every gradient is
 cross-checked against central finite differences in the test suite. The
-two losses the trainer calls, :func:`softmax_triplet_loss` and
+two feature losses, :func:`softmax_triplet_loss` and
 :func:`inter_camera_loss_batch`, work on a whole batch at once; their
-per-sample loop forms live only in the test oracles.
+per-sample loop forms live only in the test oracles. The classifier
+losses against the AALS and PGLR targets are written out in the train
+step over :func:`log_softmax`, with gradient ``softmax(z) - target``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .core import PseudoLabels, SoftLabel, as_probs, _frozen
-from .refine import aals_target
+from .core import PseudoLabels, _frozen
 
 MODE_BASELINE = "baseline"
 MODE_PPLR = "pplr"
@@ -118,54 +119,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable log-softmax (max subtraction)."""
     z = np.asarray(logits, dtype=np.float64)
     shifted = z - z.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def softmax_forward(logits) -> SoftLabel:
-    """Softmax of one logit vector as a validated SoftLabel."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("logits must be a 1-D vector")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logit")
-    return SoftLabel(softmax(z))
-
-
-def cross_entropy(target, probs) -> Tuple[float, np.ndarray]:
-    """H(target, probs) and its gradient with respect to the logits.
-
-    The gradient assumes ``probs`` came out of a softmax, in which case
-    d H / d logits = probs - target.
-    """
-    t = as_probs(target)
-    q = as_probs(probs)
-    if t.shape != q.shape:
-        raise ValueError(f"dimension mismatch: target {t.shape} vs probs {q.shape}")
-    loss = float(-np.sum(t * np.log(q)))
-    return loss, q - t
-
-
-def aals_loss(label: int, alpha: float, probs) -> Tuple[float, np.ndarray]:
-    """Agreement-weighted blend of cross-entropy and uniform KL terms.
-
-    Computes alpha * H(onehot, q) + (1 - alpha) * KL(u || q) directly.
-    Identical (up to the constant -(1 - alpha) * log K) to cross-entropy
-    against the smoothed target, so the gradient with respect to the
-    logits is q minus that smoothed target.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} out of [0, 1]")
-    q = as_probs(probs)
-    k = q.shape[0]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for K={k}")
-    log_q = np.log(q)
-    hard_term = -log_q[label]
-    kl_uniform = -np.log(k) - log_q.mean()
-    loss = float(alpha * hard_term + (1.0 - alpha) * kl_uniform)
-    return loss, q - aals_target(label, k, alpha).probs
 
 
 def softmax_triplet_loss(

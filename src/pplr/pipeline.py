@@ -185,16 +185,30 @@ def initial_model(cfg: PipelineConfig, bank_raw: FeatureBank) -> ToyModel:
     return ToyModel(projection=projection)
 
 
+def _project_spaces(bank_raw: FeatureBank, projection: np.ndarray, rows=slice(None)):
+    """Per space: the raw ``rows`` in float64, their projections at unit L2
+    norm, and the norms. A zero or non-finite norm (collapsed or diverged
+    projection) is a NumericalError naming the space and the sample."""
+    raw, feats, norms = [], [], []
+    for space_id, m in bank_raw.spaces():
+        x = np.asarray(m[rows], dtype=np.float64)
+        v = x @ projection
+        nrm = np.linalg.norm(v, axis=1)
+        bad = np.flatnonzero((nrm == 0.0) | ~np.isfinite(nrm))
+        if bad.size:
+            sample = np.arange(bank_raw.n_samples)[rows][bad[0]]
+            raise NumericalError(
+                f"projection gave {space_id} row {sample} a zero or non-finite norm"
+            )
+        raw.append(x)
+        feats.append(v / nrm[:, None])
+        norms.append(nrm)
+    return raw, feats, norms
+
+
 def project_bank(model: ToyModel, bank_raw: FeatureBank) -> FeatureBank:
     """Project every raw space through the model and L2-normalize rows."""
-    mats = []
-    for space_id, raw in bank_raw.spaces():
-        v = np.asarray(raw, dtype=np.float64) @ model.projection
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(np.flatnonzero(norms == 0.0)[0])
-            raise NumericalError(f"projection collapsed row {bad} of {space_id} to zero")
-        mats.append(v / norms[:, None])
+    _, mats, _ = _project_spaces(bank_raw, model.projection)
     return FeatureBank(
         global_feats=mats[0],
         part_feats=tuple(mats[1:]),
@@ -348,15 +362,7 @@ def _train_step(
     ca = agreements.scores[batch]
 
     # Forward: shared projection, per-space normalization, head softmax.
-    raw = [np.asarray(m[batch], dtype=np.float64) for _, m in bank_raw.spaces()]
-    norms, fs = [], []
-    for x in raw:
-        v = x @ model.projection
-        nrm = np.linalg.norm(v, axis=1)
-        if np.any(nrm == 0.0):
-            raise NumericalError("projection collapsed a batch row to zero norm")
-        norms.append(nrm)
-        fs.append(v / nrm[:, None])
+    raw, fs, norms = _project_spaces(bank_raw, model.projection, batch)
     logqs = [log_softmax(head.logits(f)) for head, f in zip(model.heads, fs)]
     qs = [np.exp(lq) for lq in logqs]
 
@@ -473,7 +479,8 @@ def run(
 
     Returns the per-epoch reports and the final model; optionally persists
     the reports as JSON-lines (first line echoes the fully-resolved
-    config) and the model as a binary blob.
+    config) and the model as a binary blob. The model is saved first, so a
+    model that cannot be saved leaves neither file.
     """
     model = initial_model(cfg, bank_raw)
     has_gt = bank_raw.gt_ids is not None
@@ -529,10 +536,10 @@ def run(
             )
         )
 
-    if report_path is not None:
-        write_reports(reports, report_path, cfg, config_echo)
     if model_path is not None:
         save_model(model, model_path)
+    if report_path is not None:
+        write_reports(reports, report_path, cfg, config_echo)
     return reports, model
 
 
@@ -550,18 +557,20 @@ def write_reports(
 
 
 def save_model(model: ToyModel, path) -> None:
-    """Binary blob: header then f32 matrices in declaration order."""
+    """Binary blob: header then f32 matrices in declaration order. A value
+    that does not fit f32 is a NumericalError, and nothing is written."""
     d_raw, d = model.projection.shape
     n_heads = len(model.heads)
     k = model.heads[0].k_classes if n_heads else 0
-    buf = bytearray()
-    buf += _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d_raw, d, n_heads, k)
-    buf += np.ascontiguousarray(model.projection, dtype="<f4").tobytes()
-    for head in model.heads:
-        if head.k_classes != k:
-            raise ValueError("all heads must share K for serialization")
-        buf += np.ascontiguousarray(head.weight, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    if any(head.k_classes != k for head in model.heads):
+        raise ValueError("all heads must share K for serialization")
+    mats = [model.projection] + [head.weight for head in model.heads]
+    with np.errstate(over="ignore"):
+        blobs = [np.ascontiguousarray(m, dtype="<f4") for m in mats]
+    if not all(np.isfinite(blob).all() for blob in blobs):
+        raise NumericalError("model values do not fit float32: training diverged")
+    header = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d_raw, d, n_heads, k)
+    Path(path).write_bytes(header + b"".join(blob.tobytes() for blob in blobs))
 
 
 def load_model(path) -> ToyModel:

@@ -9,20 +9,17 @@ Two refinement routes share the cross agreement scores:
   an agreement-softmax-weighted ensemble of the part classifiers'
   predictions, producing the target for the global classifier.
 
-Targets are constants: no gradient flows through them, the part
-predictions entering PGLR are the current forward outputs, detached.
+Targets are built for a whole batch, one row per sample, and are
+constants: no gradient flows through them, the part predictions entering
+PGLR are the current forward outputs, detached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from .core import SoftLabel, as_probs, one_hot
-
-WEIGHT_SUM_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,64 +59,10 @@ def effective_alpha(agreement, epoch: int, cfg: RefinementConfig) -> np.ndarray:
     return a
 
 
-def aals_target(label: int, k_clusters: int, alpha: float) -> SoftLabel:
-    """Smoothed target alpha * onehot(label) + (1 - alpha) * uniform.
-
-    alpha = 1 reproduces the hard label exactly; alpha = 0 the uniform
-    vector exactly.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} out of [0, 1]")
-    if not 0 <= label < k_clusters:
-        raise ValueError(f"label {label} out of range for K={k_clusters}")
-    probs = np.full(k_clusters, (1.0 - alpha) / k_clusters, dtype=np.float64)
-    probs[label] += alpha
-    return SoftLabel(probs)
-
-
-def pglr_weights(agreements: Sequence[float]) -> np.ndarray:
-    """Softmax of a part-agreement vector; the part ensemble weights."""
-    a = np.asarray(agreements, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("agreements must be a non-empty vector")
-    if a.min() < 0.0 or a.max() > 1.0:
-        raise ValueError("agreements must lie in [0, 1]")
-    shifted = np.exp(a - a.max())
-    return shifted / shifted.sum()
-
-
-def pglr_target(
-    label: int,
-    k_clusters: int,
-    part_preds: Sequence,
-    weights: Sequence[float],
-    beta: float,
-) -> SoftLabel:
-    """Target beta * onehot(label) + (1 - beta) * sum_n w_n * q_n.
-
-    ``part_preds`` are the per-part prediction vectors (already softmaxed);
-    ``weights`` must sum to 1. beta = 1 reproduces the one-hot label
-    exactly; beta = 0 keeps only the weighted part ensemble.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta {beta} out of [0, 1]")
-    w = np.asarray(weights, dtype=np.float64)
-    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_ATOL:
-        raise ValueError(f"ensemble weights sum to {float(w.sum())!r}, expected 1")
-    preds = np.stack([as_probs(p) for p in part_preds])
-    if preds.shape[0] != w.shape[0]:
-        raise ValueError("one weight per part prediction is required")
-    if preds.shape[1] != k_clusters:
-        raise ValueError(
-            f"predictions have {preds.shape[1]} classes, expected K={k_clusters}"
-        )
-    ensemble = w @ preds
-    probs = beta * one_hot(label, k_clusters) + (1.0 - beta) * ensemble
-    return SoftLabel(probs)
-
-
 def aals_targets(labels: np.ndarray, k_clusters: int, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized smoothed targets, one row per sample."""
+    """Smoothed targets alpha * onehot(label) + (1 - alpha) * uniform, one
+    row per sample; alpha = 1 gives the hard label and alpha = 0 the
+    uniform vector, both exactly."""
     labels = np.asarray(labels)
     alphas = np.asarray(alphas, dtype=np.float64)
     if np.any((alphas < 0.0) | (alphas > 1.0)):
@@ -136,7 +79,9 @@ def pglr_targets(
     agreements: np.ndarray,
     beta: float,
 ) -> np.ndarray:
-    """Vectorized PGLR targets.
+    """Targets beta * onehot(label) + (1 - beta) * sum_n w_n * q_n, one row
+    per sample, w the softmax of the sample's part agreements; beta = 1
+    gives the one-hot label exactly, beta = 0 only the part ensemble.
 
     Args:
         labels: (B,) hard cluster indices.
@@ -144,10 +89,11 @@ def pglr_targets(
         agreements: (B, n_parts) cross agreement scores.
         beta: one-hot versus ensemble mix.
     """
+    labels = np.asarray(labels)
     a = np.asarray(agreements, dtype=np.float64)
     shifted = np.exp(a - a.max(axis=1, keepdims=True))
     weights = shifted / shifted.sum(axis=1, keepdims=True)
     ensemble = np.einsum("bn,nbk->bk", weights, part_preds)
     out = (1.0 - beta) * ensemble
-    out[np.arange(labels.size), np.asarray(labels)] += beta
+    out[np.arange(labels.size), labels] += beta
     return out

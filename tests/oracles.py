@@ -351,3 +351,40 @@ def softmax_triplet_oracle(feats, labels):
         grad[p] -= s * u_pos
         grad[n] += s * u_neg
     return total / len(mined), grad, skipped
+
+
+def aals_target_oracle(label: int, k: int, alpha: float) -> np.ndarray:
+    """alpha * onehot(label) + (1 - alpha) * uniform, entry by entry."""
+    return np.array(
+        [alpha * (j == label) + (1.0 - alpha) / k for j in range(k)], dtype=np.float64
+    )
+
+
+def pglr_target_oracle(label: int, k: int, part_preds, agreements, beta: float) -> np.ndarray:
+    """beta * onehot(label) + (1 - beta) * sum_n w_n * q_n, with w the
+    softmax of the sample's part agreements."""
+    exps = [math.exp(a) for a in agreements]
+    weights = [e / sum(exps) for e in exps]
+    return np.array(
+        [
+            beta * (j == label)
+            + (1.0 - beta) * sum(w * float(q[j]) for w, q in zip(weights, part_preds))
+            for j in range(k)
+        ],
+        dtype=np.float64,
+    )
+
+
+def soft_cross_entropy_oracle(target, log_q) -> float:
+    """H(target, q) of one sample from its log-probabilities: the global
+    head's term in the train step."""
+    return -sum(float(t) * float(lq) for t, lq in zip(target, log_q))
+
+
+def aals_loss_oracle(label: int, alpha: float, log_q) -> float:
+    """alpha * H(onehot, q) + (1 - alpha) * KL(u || q) of one sample: a
+    part head's term in the train step."""
+    k = len(log_q)
+    hard = -float(log_q[label])
+    kl_uniform = -math.log(k) - sum(float(lq) for lq in log_q) / k
+    return alpha * hard + (1.0 - alpha) * kl_uniform

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    aals_loss_oracle,
     average_precision_oracle,
     cross_agreement_oracle,
     dbscan_oracle,
@@ -24,6 +25,7 @@ from oracles import (
     k_reciprocal_oracle,
     map_cmc_oracle,
     relative_error,
+    soft_cross_entropy_oracle,
 )
 from pplr.agreement import cross_agreement
 from pplr.cli import main
@@ -35,9 +37,8 @@ from pplr.neighbors import k_reciprocal_jaccard, pairwise_sq_euclidean
 from pplr.objectives import (
     CameraProxySet,
     LossWeights,
-    aals_loss,
-    cross_entropy,
     inter_camera_loss_batch,
+    log_softmax,
     softmax,
     softmax_triplet_loss,
 )
@@ -48,7 +49,7 @@ from pplr.pipeline import (
     project_bank,
     run,
 )
-from pplr.refine import aals_target, pglr_target, pglr_weights
+from pplr.refine import aals_targets, pglr_targets
 
 # Committed experiment: the synthetic bank and pipeline settings for
 # criteria 7 and 8. eps is calibrated to this bank (the clustering radius
@@ -180,7 +181,19 @@ def _fd_check(loss_fn, x, grad, step=1e-5):
     return relative_error(grad, fd)
 
 
+def _aals_row(label, k, alpha):
+    return aals_targets(np.array([label]), k, np.array([alpha]))[0]
+
+
+def _pglr_row(label, k, preds, agreements, beta):
+    batch_preds = np.stack(preds)[:, None, :]
+    return pglr_targets(np.array([label]), k, batch_preds, agreements[None, :], beta)[0]
+
+
 def test_criterion_4_gradient_correctness():
+    # The head gradients are the ones the train step applies, softmax(z) - t,
+    # with t a target row from the batch builders; each is checked against
+    # finite differences of that head's per-sample loss.
     rng = np.random.default_rng(103)
     worst = {}
 
@@ -189,8 +202,10 @@ def test_criterion_4_gradient_correctness():
         k = int(rng.integers(2, 12))
         target = softmax(rng.standard_normal(k) * 2)
         logits = rng.standard_normal(k) * 2
-        _, grad = cross_entropy(target, softmax(logits))
-        errs.append(_fd_check(lambda z: cross_entropy(target, softmax(z))[0], logits, grad))
+        grad = softmax(logits) - target
+        errs.append(
+            _fd_check(lambda z: soft_cross_entropy_oracle(target, log_softmax(z)), logits, grad)
+        )
     worst["cross_entropy"] = max(errs)
 
     errs = []
@@ -199,9 +214,9 @@ def test_criterion_4_gradient_correctness():
         label = int(rng.integers(k))
         alpha = float(rng.uniform(0, 1))
         logits = rng.standard_normal(k) * 2
-        _, grad = aals_loss(label, alpha, softmax(logits))
+        grad = softmax(logits) - _aals_row(label, k, alpha)
         errs.append(
-            _fd_check(lambda z: aals_loss(label, alpha, softmax(z))[0], logits, grad)
+            _fd_check(lambda z: aals_loss_oracle(label, alpha, log_softmax(z)), logits, grad)
         )
     worst["aals_loss"] = max(errs)
 
@@ -211,12 +226,14 @@ def test_criterion_4_gradient_correctness():
         n_parts = int(rng.integers(1, 5))
         label = int(rng.integers(k))
         preds = [softmax(rng.standard_normal(k)) for _ in range(n_parts)]
-        weights = pglr_weights(rng.uniform(0, 1, size=n_parts))
+        agreements = rng.uniform(0, 1, size=n_parts)
         beta = float(rng.uniform(0, 1))
-        target = pglr_target(label, k, preds, weights, beta)
+        target = _pglr_row(label, k, preds, agreements, beta)
         logits = rng.standard_normal(k) * 2
-        _, grad = cross_entropy(target, softmax(logits))
-        errs.append(_fd_check(lambda z: cross_entropy(target, softmax(z))[0], logits, grad))
+        grad = softmax(logits) - target
+        errs.append(
+            _fd_check(lambda z: soft_cross_entropy_oracle(target, log_softmax(z)), logits, grad)
+        )
     worst["pglr_path"] = max(errs)
 
     errs = []
@@ -270,9 +287,9 @@ def test_criterion_5_aals_decomposition_identity():
         k = int(rng.integers(2, 51))
         label = int(rng.integers(k))
         alpha = float(rng.uniform(0, 1))
-        probs = softmax(rng.standard_normal(k) * 3)
-        direct, _ = aals_loss(label, alpha, probs)
-        smoothed, _ = cross_entropy(aals_target(label, k, alpha), probs)
+        log_q = log_softmax(rng.standard_normal(k) * 3)
+        direct = aals_loss_oracle(label, alpha, log_q)
+        smoothed = soft_cross_entropy_oracle(_aals_row(label, k, alpha), log_q)
         diff = abs(direct - (smoothed - (1 - alpha) * math.log(k)))
         worst = max(worst, diff)
         assert diff <= 1e-10
@@ -284,15 +301,18 @@ def test_criterion_6_refinement_limits():
     for _ in range(100):
         k = int(rng.integers(2, 20))
         label = int(rng.integers(k))
-        hard = aals_target(label, k, 1.0).probs
+        hard = _aals_row(label, k, 1.0)
         assert hard[label] == 1.0 and np.count_nonzero(hard) == 1
-        uniform = aals_target(label, k, 0.0).probs
+        uniform = _aals_row(label, k, 0.0)
         assert np.all(uniform == 1.0 / k)
         n_parts = int(rng.integers(1, 5))
         preds = [softmax(rng.standard_normal(k)) for _ in range(n_parts)]
-        weights = pglr_weights(rng.uniform(0, 1, size=n_parts))
-        assert abs(float(weights.sum()) - 1.0) < 1e-9
-        one_hot_target = pglr_target(label, k, preds, weights, 1.0).probs
+        agreements = rng.uniform(0, 1, size=n_parts)
+        # At beta = 0 the target is the weighted ensemble of probability
+        # vectors, so its total is the sum of the ensemble weights.
+        ensemble = _pglr_row(label, k, preds, agreements, 0.0)
+        assert abs(float(ensemble.sum()) - 1.0) < 1e-9
+        one_hot_target = _pglr_row(label, k, preds, agreements, 1.0)
         assert one_hot_target[label] == 1.0 and np.count_nonzero(one_hot_target) == 1
     report(6, "alpha/beta limits are exact and ensemble weights sum to 1")
 

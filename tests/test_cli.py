@@ -288,6 +288,28 @@ class TestExitCodes:
         write_feature_bank(bank, path)
         assert main(["cluster", "--bank", str(path)]) == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("pipeline", ("--epochs", "1", "--iters", "5", "--lr", "1e308")),
+            ("pipeline", ("--epochs", "2", "--lr", "1e40")),
+            ("pipeline", ("--epochs", "2", "--lr", "1e308")),
+            ("train", ("--lr", "1e40")),
+        ],
+        ids=["epochs1-lr1e308", "epochs2-lr1e40", "epochs2-lr1e308", "train-lr1e40"],
+    )
+    def test_diverged_training_is_4(self, tmp_path, capsys, command, flags):
+        # A diverged projection either gives a row a non-finite norm during
+        # training or leaves values that do not fit the f32 model file.
+        bank = str(tmp_path / "bank.pplb")
+        assert main(["simgen", "--out", bank]) == 0
+        out, model = tmp_path / "o.jsonl", tmp_path / "o.jsonl.model"
+        argv = [command, "--bank", bank, "--out", str(out), "--model-out", str(model), *flags]
+        assert main(argv) == 4
+        assert not out.exists() and not model.exists()
+        assert "numerical error" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 4, "--n-cameras", "1")], ids=["one-sample", "one-camera"]
     )

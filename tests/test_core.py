@@ -6,10 +6,8 @@ from pplr.core import (
     NumericalError,
     PseudoLabels,
     RankedLists,
-    SoftLabel,
     l2_normalize,
     normalize_bank,
-    one_hot,
 )
 
 
@@ -118,18 +116,3 @@ class TestRankedLists:
         with pytest.raises(ValueError, match="out of range"):
             RankedLists(space_id="global", k=2, lists=np.array([[1, 5], [0, 2], [0, 1]]))
 
-
-class TestSoftLabel:
-    def test_sum_tolerance(self):
-        SoftLabel(np.array([0.5, 0.5 + 5e-7]))
-        with pytest.raises(ValueError, match="sum"):
-            SoftLabel(np.array([0.5, 0.5 + 5e-6]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SoftLabel(np.array([1.2, -0.2]))
-
-    def test_one_hot(self):
-        assert one_hot(2, 4).tolist() == [0.0, 0.0, 1.0, 0.0]
-        with pytest.raises(ValueError):
-            one_hot(4, 4)

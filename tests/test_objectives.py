@@ -4,50 +4,59 @@ import numpy as np
 import pytest
 
 from oracles import (
+    aals_loss_oracle,
     fd_gradient,
     inter_camera_loss_batch_oracle,
     relative_error,
+    soft_cross_entropy_oracle,
     softmax_triplet_oracle,
 )
-from pplr.core import PseudoLabels, one_hot
+from pplr.core import PseudoLabels
 from pplr.objectives import (
     CameraProxySet,
     LossWeights,
-    aals_loss,
     build_camera_proxies,
-    cross_entropy,
     inter_camera_loss_batch,
+    log_softmax,
     softmax,
-    softmax_forward,
     softmax_triplet_loss,
     total_loss,
 )
-from pplr.refine import aals_target
+from pplr.refine import aals_targets
+
+
+def aals_row(label, k, alpha):
+    """``aals_targets`` on a one-sample batch."""
+    return aals_targets(np.array([label]), k, np.array([alpha]))[0]
 
 
 class TestSoftmax:
     def test_symmetric_pair(self):
-        assert softmax_forward(np.array([0.0, 0.0])).probs.tolist() == [0.5, 0.5]
+        assert softmax(np.array([0.0, 0.0])).tolist() == [0.5, 0.5]
 
     def test_extreme_logits_stable(self):
-        probs = softmax_forward(np.array([1000.0, 0.0])).probs
+        probs = softmax(np.array([1000.0, 0.0]))
         assert np.isfinite(probs).all()
         assert probs[0] > 0.999999
+        log_q = log_softmax(np.array([1000.0, 0.0]))
+        assert log_q.tolist() == [0.0, -1000.0]
 
     def test_matches_direct_formula(self):
-        z = np.array([1.0, 2.0, 3.0])
-        direct = np.exp(z) / np.exp(z).sum()
-        assert np.abs(softmax_forward(z).probs - direct).max() < 1e-12
+        z = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 0.0]])
+        direct = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        assert np.abs(softmax(z) - direct).max() < 1e-12
+        assert np.abs(log_softmax(z) - np.log(direct)).max() < 1e-12
 
 
 class TestCrossEntropy:
+    """The global head's term, H(t, softmax(z)), with gradient softmax(z) - t."""
+
     def test_uniform_target_half_probs(self):
-        loss, _ = cross_entropy(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        loss = soft_cross_entropy_oracle([0.5, 0.5], log_softmax(np.array([0.0, 0.0])))
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_confident_correct_prediction(self):
-        eps = 1e-9
-        loss, _ = cross_entropy(one_hot(0, 2), np.array([1 - eps, eps]))
+        loss = soft_cross_entropy_oracle([1.0, 0.0], log_softmax(np.array([25.0, 0.0])))
         assert loss < 1e-8
 
     def test_gradient_is_probs_minus_target(self):
@@ -56,34 +65,34 @@ class TestCrossEntropy:
             k = int(rng.integers(2, 10))
             target = softmax(rng.standard_normal(k))
             logits = rng.standard_normal(k)
-            _, grad = cross_entropy(target, softmax(logits))
+            grad = softmax(logits) - target
 
             def loss_of(z, target=target):
-                return cross_entropy(target, softmax(z))[0]
+                return soft_cross_entropy_oracle(target, log_softmax(z))
 
             fd = fd_gradient(loss_of, logits)
             assert relative_error(grad, fd) < 1e-4
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cross_entropy(np.array([1.0, 0.0]), np.array([0.2, 0.3, 0.5]))
-
 
 class TestAalsLoss:
+    """A part head's term against its ``aals_targets`` row."""
+
     def test_alpha_one_equals_hard_cross_entropy_bitwise(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             k = int(rng.integers(2, 12))
-            label = int(rng.integers(k))
-            probs = softmax(rng.standard_normal(k))
-            direct, grad_direct = aals_loss(label, 1.0, probs)
-            ce, grad_ce = cross_entropy(one_hot(label, k), probs)
-            assert direct == ce
-            assert np.array_equal(grad_direct, grad_ce)
+            labels = rng.integers(0, k, size=5)
+            logits = rng.standard_normal((5, k))
+            targets = aals_targets(labels, k, np.ones(5))
+            assert np.array_equal(targets, np.eye(k)[labels])
+            assert np.array_equal(softmax(logits) - targets, softmax(logits) - np.eye(k)[labels])
+            for label, log_q in zip(labels, log_softmax(logits)):
+                direct = aals_loss_oracle(int(label), 1.0, log_q)
+                assert direct == soft_cross_entropy_oracle(np.eye(k)[label], log_q)
 
     def test_uniform_probs_value(self):
         k, alpha = 7, 0.3
-        loss, _ = aals_loss(2, alpha, np.full(k, 1 / k))
+        loss = aals_loss_oracle(2, alpha, log_softmax(np.zeros(k)))
         assert abs(loss - alpha * math.log(k)) < 1e-12
 
     def test_decomposition_identity(self):
@@ -92,9 +101,9 @@ class TestAalsLoss:
             k = int(rng.integers(2, 51))
             label = int(rng.integers(k))
             alpha = float(rng.uniform(0, 1))
-            probs = softmax(rng.standard_normal(k) * 3)
-            direct, _ = aals_loss(label, alpha, probs)
-            smoothed, _ = cross_entropy(aals_target(label, k, alpha), probs)
+            log_q = log_softmax(rng.standard_normal(k) * 3)
+            direct = aals_loss_oracle(label, alpha, log_q)
+            smoothed = soft_cross_entropy_oracle(aals_row(label, k, alpha), log_q)
             assert abs(direct - (smoothed - (1 - alpha) * math.log(k))) <= 1e-10
 
     def test_gradient(self):
@@ -104,10 +113,10 @@ class TestAalsLoss:
             label = int(rng.integers(k))
             alpha = float(rng.uniform(0, 1))
             logits = rng.standard_normal(k)
-            _, grad = aals_loss(label, alpha, softmax(logits))
+            grad = softmax(logits) - aals_row(label, k, alpha)
 
             def loss_of(z, label=label, alpha=alpha):
-                return aals_loss(label, alpha, softmax(z))[0]
+                return aals_loss_oracle(label, alpha, log_softmax(z))
 
             fd = fd_gradient(loss_of, logits)
             assert relative_error(grad, fd) < 1e-4

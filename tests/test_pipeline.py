@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient
+from oracles import aals_loss_oracle, fd_gradient, soft_cross_entropy_oracle
 from pplr.cluster import DbscanParams
-from pplr.core import CrossAgreement, PseudoLabels
+from pplr.core import CrossAgreement, NumericalError, PseudoLabels
 from pplr.ingest import SynthConfig, generate_synthetic_bank
 from pplr.objectives import LossWeights
 from pplr.pipeline import (
     PipelineConfig,
+    ToyModel,
     _pk_sample,
     agreement_scores,
     cluster_labels,
@@ -266,7 +267,20 @@ def oracle_step_loss(projection, head_weights, raw_spaces, lab, targets, lw, pro
 
 
 class TestSingleStepOracle:
-    def test_post_update_matches_fd_oracle(self):
+    # (mode, constant_alpha, epoch): post-warm-up pplr takes its part
+    # smoothing weights from the agreement scores, the constant-alpha mode
+    # from the config, and warm-up forces alpha = 1 (the PGLR global
+    # target is unchanged); baseline trains every head on hard labels.
+    CASES = {
+        "pplr": ("pplr", None, 6),
+        "pplr-constant-alpha": ("pplr", 0.7, 6),
+        "pplr-warmup": ("pplr", None, 2),
+        "baseline": ("baseline", None, 6),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_post_update_matches_fd_oracle(self, case):
+        mode, constant_alpha, epoch = self.CASES[case]
         # Hand-sized problem: N=12, K=3, two parts, one PK batch.
         bank = generate_synthetic_bank(
             SynthConfig(
@@ -277,8 +291,10 @@ class TestSingleStepOracle:
         )
         cfg = PipelineConfig(
             epochs=1, iters_per_epoch=1, batch_p=3, batch_k=2, learning_rate=0.3,
-            seed=0, proj_dim=4, k_agreement=3, mode="pplr",
-            refinement=RefinementConfig(beta=0.5, aals_warmup_epochs=5),
+            seed=0, proj_dim=4, k_agreement=3, mode=mode,
+            refinement=RefinementConfig(
+                beta=0.5, aals_warmup_epochs=5, constant_alpha=constant_alpha
+            ),
             loss_weights=LossWeights(lambda_cam=0.5, tau=0.4, n_hard_negatives=2),
         )
         labels = PseudoLabels(labels=bank.gt_ids, k_clusters=3)
@@ -304,14 +320,23 @@ class TestSingleStepOracle:
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             return e / e.sum(axis=1, keepdims=True)
 
-        # Post-warmup epoch: alphas come from the agreement scores.
-        q_parts = np.stack([forward_probs(heads0[1 + n], raw_spaces[1 + n]) for n in range(2)])
-        exp_ca = np.exp(ca - ca.max(axis=1, keepdims=True))
-        weights_ca = exp_ca / exp_ca.sum(axis=1, keepdims=True)
-        t_global = 0.5 * np.eye(3)[lab] + 0.5 * np.einsum("bn,nbk->bk", weights_ca, q_parts)
+        q = [forward_probs(heads0[s], raw_spaces[s]) for s in range(3)]
+        hard = np.eye(3)[lab]
+        if mode == "baseline":
+            alphas = np.ones_like(ca)
+            t_global = hard
+        else:
+            if epoch < 5:
+                alphas = np.ones_like(ca)
+            elif constant_alpha is not None:
+                alphas = np.full_like(ca, constant_alpha)
+            else:
+                alphas = ca
+            exp_ca = np.exp(ca - ca.max(axis=1, keepdims=True))
+            weights_ca = exp_ca / exp_ca.sum(axis=1, keepdims=True)
+            t_global = 0.5 * hard + 0.5 * np.einsum("bn,nbk->bk", weights_ca, np.stack(q[1:]))
         t_parts = [
-            np.einsum("b,bk->bk", ca[:, n], np.eye(3)[lab])
-            + ((1.0 - ca[:, n]) / 3)[:, None]
+            alphas[:, n, None] * hard + ((1.0 - alphas[:, n]) / 3)[:, None]
             for n in range(2)
         ]
 
@@ -339,14 +364,32 @@ class TestSingleStepOracle:
             for s in range(3)
         ]
 
-        training_stage(model, bank, feats0, init_heads(feats0, labels), labels, agreements,
-                       cfg, epoch=6, rng=np.random.default_rng(99))
+        trace = training_stage(model, bank, feats0, init_heads(feats0, labels), labels,
+                               agreements, cfg, epoch=epoch, rng=np.random.default_rng(99))
 
         expected_proj = proj0 - 0.3 * grad_proj
         assert np.abs(model.projection - expected_proj).max() < 1e-8
         for s in range(3):
             expected_w = heads0[s] - 0.3 * grad_heads[s]
             assert np.abs(model.heads[s].weight - expected_w).max() < 1e-8
+
+        # The reported head losses: cross-entropy against the global target
+        # and the smoothing decomposition of each part's term.
+        log_q = [np.log(qs) for qs in q]
+        expected_global = np.mean(
+            [soft_cross_entropy_oracle(t_global[i], log_q[0][i]) for i in range(lab.size)]
+        )
+        expected_parts = np.mean(
+            [
+                aals_loss_oracle(int(lab[i]), float(alphas[i, n]), log_q[1 + n][i])
+                for n in range(2)
+                for i in range(lab.size)
+            ]
+        )
+        losses = trace.iterations[0]
+        key_global, key_parts = ("gce", "pce") if mode == "baseline" else ("pglr", "aals")
+        assert abs(losses[key_global] - expected_global) < 1e-10
+        assert abs(losses[key_parts] - expected_parts) < 1e-10
 
 
 class TestRun:
@@ -432,6 +475,20 @@ class TestRun:
         for a, b in zip(back.heads, model.heads):
             assert a.space_id == b.space_id
             assert np.allclose(a.weight, b.weight, atol=1e-6)
+
+    def test_model_that_overflows_float32_is_not_written(self, tmp_path):
+        path = tmp_path / "model.pplm"
+        with pytest.raises(NumericalError, match="float32"):
+            save_model(ToyModel(projection=np.full((4, 2), 1e39)), path)
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [0.0, 1e200], ids=["collapsed", "overflowing"])
+    def test_degenerate_projection_names_the_space(self, scale):
+        bank = small_noisy_bank()
+        model = ToyModel(projection=np.full((bank.dim, 3), scale))
+        with pytest.raises(NumericalError, match="global row 0"):
+            project_bank(model, bank)
 
     def test_report_embeds_config_echo(self, tmp_path):
         bank = small_noisy_bank()

@@ -3,40 +3,48 @@ import math
 import numpy as np
 import pytest
 
-from pplr.core import SoftLabel
-from pplr.refine import (
-    RefinementConfig,
-    aals_target,
-    aals_targets,
-    effective_alpha,
-    pglr_target,
-    pglr_targets,
-    pglr_weights,
-)
+from oracles import aals_target_oracle, pglr_target_oracle
+from pplr.refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
+
+
+def aals_row(label, k, alpha):
+    """``aals_targets`` on a one-sample batch."""
+    return aals_targets(np.array([label]), k, np.array([alpha]))[0]
+
+
+def pglr_row(label, k, part_preds, agreements, beta):
+    """``pglr_targets`` on a one-sample batch; ``part_preds`` is n_parts x K."""
+    preds = np.asarray(part_preds, dtype=np.float64)[:, None, :]
+    return pglr_targets(np.array([label]), k, preds, np.array([agreements]), beta)[0]
+
+
+def ensemble_weights(agreements):
+    """The PGLR part weights, read off ``pglr_targets`` at beta = 0 with
+    one-hot part predictions (part n predicts class n)."""
+    n = len(agreements)
+    return pglr_row(0, n, np.eye(n), agreements, 0.0)
 
 
 class TestAalsTarget:
     def test_alpha_one_is_exact_one_hot(self):
-        assert aals_target(0, 4, 1.0).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert aals_row(0, 4, 1.0).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_alpha_zero_is_exact_uniform(self):
-        assert aals_target(2, 4, 0.0).probs.tolist() == [0.25, 0.25, 0.25, 0.25]
+        assert aals_row(2, 4, 0.0).tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_half_alpha(self):
-        assert np.allclose(
-            aals_target(0, 4, 0.5).probs, [0.625, 0.125, 0.125, 0.125], atol=1e-15
-        )
+        assert np.allclose(aals_row(0, 4, 0.5), [0.625, 0.125, 0.125, 0.125], atol=1e-15)
 
     def test_range_checks(self):
-        with pytest.raises(ValueError):
-            aals_target(0, 4, 1.2)
-        with pytest.raises(ValueError):
-            aals_target(4, 4, 0.5)
+        with pytest.raises(ValueError, match="alphas"):
+            aals_row(0, 4, 1.2)
+        with pytest.raises(ValueError, match="alphas"):
+            aals_targets(np.array([0, 1]), 4, np.array([0.5, -0.1]))
 
     def test_affine_in_alpha(self):
-        lo = aals_target(1, 5, 0.2).probs
-        hi = aals_target(1, 5, 0.8).probs
-        mid = aals_target(1, 5, 0.5).probs
+        lo = aals_row(1, 5, 0.2)
+        hi = aals_row(1, 5, 0.8)
+        mid = aals_row(1, 5, 0.5)
         assert np.abs(0.5 * (lo + hi) - mid).max() < 1e-15
 
     def test_argmax_preserved_for_positive_alpha(self):
@@ -45,7 +53,7 @@ class TestAalsTarget:
             k = int(rng.integers(2, 12))
             label = int(rng.integers(k))
             alpha = float(rng.uniform(1e-6, 1.0))
-            assert int(np.argmax(aals_target(label, k, alpha).probs)) == label
+            assert int(np.argmax(aals_row(label, k, alpha))) == label
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -53,71 +61,58 @@ class TestAalsTarget:
         alphas = rng.uniform(0, 1, size=10)
         batch = aals_targets(labels, 6, alphas)
         for i in range(10):
-            single = aals_target(int(labels[i]), 6, float(alphas[i])).probs
+            single = aals_target_oracle(int(labels[i]), 6, float(alphas[i]))
             assert np.array_equal(batch[i], single)
 
 
 class TestPglrWeights:
     def test_equal_agreements_uniform(self):
-        assert np.allclose(pglr_weights([0.4, 0.4, 0.4]), np.full(3, 1 / 3), atol=1e-15)
+        assert np.allclose(ensemble_weights([0.4, 0.4, 0.4]), np.full(3, 1 / 3), atol=1e-15)
 
     def test_directly_evaluated_softmax(self):
-        w = pglr_weights([1.0, 0.0, 0.0])
+        w = ensemble_weights([1.0, 0.0, 0.0])
         e = math.e
         assert np.allclose(w, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-12)
 
     def test_single_part(self):
-        assert pglr_weights([0.3]).tolist() == [1.0]
+        assert ensemble_weights([0.3]).tolist() == [1.0]
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            w = pglr_weights(rng.uniform(0, 1, size=int(rng.integers(1, 8))))
+            w = ensemble_weights(rng.uniform(0, 1, size=int(rng.integers(1, 8))))
             assert abs(w.sum() - 1.0) < 1e-9
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            pglr_weights([1.5, 0.2])
 
 
 class TestPglrTarget:
     def test_beta_one_is_exact_one_hot(self):
-        preds = [SoftLabel(np.array([0.7, 0.3])), SoftLabel(np.array([0.2, 0.8]))]
-        out = pglr_target(1, 2, preds, [0.5, 0.5], 1.0)
-        assert out.probs.tolist() == [0.0, 1.0]
+        preds = [[0.7, 0.3], [0.2, 0.8]]
+        assert pglr_row(1, 2, preds, [0.5, 0.5], 1.0).tolist() == [0.0, 1.0]
 
     def test_beta_zero_uniform_preds_collapse_to_uniform(self):
-        preds = [np.array([0.25] * 4)] * 3
-        out = pglr_target(0, 4, preds, [1 / 3] * 3, 0.0)
-        assert np.allclose(out.probs, 0.25, atol=1e-15)
+        preds = [[0.25] * 4] * 3
+        assert np.allclose(pglr_row(0, 4, preds, [0.2, 0.5, 0.9], 0.0), 0.25, atol=1e-15)
 
     def test_hand_case(self):
-        preds = [np.array([0.8, 0.2]), np.array([0.6, 0.4])]
-        out = pglr_target(0, 2, preds, [0.5, 0.5], 0.5)
-        assert np.allclose(out.probs, [0.85, 0.15], atol=1e-15)
+        # Equal agreements weigh the two parts 0.5 / 0.5.
+        preds = [[0.8, 0.2], [0.6, 0.4]]
+        assert np.allclose(pglr_row(0, 2, preds, [0.3, 0.3], 0.5), [0.85, 0.15], atol=1e-15)
 
     def test_collapse_property(self):
         # All-uniform part predictions give beta*onehot + (1-beta)*uniform.
         k, beta = 6, 0.37
         preds = [np.full(k, 1 / k)] * 4
-        out = pglr_target(2, k, preds, [0.25] * 4, beta)
+        out = pglr_row(2, k, preds, [0.1, 0.4, 0.6, 0.8], beta)
         expected = beta * np.eye(k)[2] + (1 - beta) / k
-        assert np.abs(out.probs - expected).max() < 1e-15
+        assert np.abs(out - expected).max() < 1e-15
 
     def test_affine_in_beta(self):
-        preds = [np.array([0.1, 0.9]), np.array([0.5, 0.5])]
-        w = [0.6, 0.4]
-        lo = pglr_target(0, 2, preds, w, 0.1).probs
-        hi = pglr_target(0, 2, preds, w, 0.9).probs
-        mid = pglr_target(0, 2, preds, w, 0.5).probs
+        preds = [[0.1, 0.9], [0.5, 0.5]]
+        ca = [0.9, 0.5]
+        lo = pglr_row(0, 2, preds, ca, 0.1)
+        hi = pglr_row(0, 2, preds, ca, 0.9)
+        mid = pglr_row(0, 2, preds, ca, 0.5)
         assert np.abs(0.5 * (lo + hi) - mid).max() < 1e-15
-
-    def test_validation(self):
-        preds = [np.array([0.5, 0.5])]
-        with pytest.raises(ValueError, match="sum"):
-            pglr_target(0, 2, preds, [0.9], 0.5)
-        with pytest.raises(ValueError, match="K"):
-            pglr_target(0, 3, preds, [1.0], 0.5)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -127,11 +122,11 @@ class TestPglrTarget:
         logits = rng.standard_normal((n_parts, b, k))
         preds = np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)
         batch = pglr_targets(labels, k, preds, agreements, 0.5)
+        assert np.array_equal(pglr_targets(labels.tolist(), k, preds, agreements, 0.5), batch)
         for i in range(b):
-            w = pglr_weights(agreements[i])
-            single = pglr_target(
-                int(labels[i]), k, [preds[p, i] for p in range(n_parts)], w, 0.5
-            ).probs
+            single = pglr_target_oracle(
+                int(labels[i]), k, [preds[p, i] for p in range(n_parts)], agreements[i], 0.5
+            )
             assert np.abs(batch[i] - single).max() < 1e-12
 
 

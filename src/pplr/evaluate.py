@@ -8,6 +8,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .core import NoValidQueryError
+from .neighbors import _row_blocks
 
 DEFAULT_RANKS = (1, 5, 10)
 
@@ -83,6 +84,11 @@ def map_cmc(
     count across cameras; a query left without any positive is excluded
     and counted in ``n_excluded``.
 
+    Queries are ranked one block of rows at a time (see
+    :func:`pplr.neighbors._row_blocks`): the call holds a block's distance
+    and order arrays, never a query x gallery matrix, and each block's
+    arrays are freed before the next block is ranked.
+
     Raises:
         NoValidQueryError: when every query is excluded.
     """
@@ -95,29 +101,36 @@ def map_cmc(
     if q.shape[0] != q_ids.size or g.shape[0] != g_ids.size:
         raise ValueError("feature/id count mismatch")
 
-    # Squared distances rank identically to Euclidean ones.
-    dist = (
-        np.einsum("ij,ij->i", q, q)[:, None]
-        + np.einsum("ij,ij->i", g, g)[None, :]
-        - 2.0 * (q @ g.T)
-    )
-    order = np.argsort(dist, axis=1, kind="stable")
+    sq_q = np.einsum("ij,ij->i", q, q)
+    sq_g = np.einsum("ij,ij->i", g, g)
+
+    def relevance_rows(blk: slice) -> list:
+        """Per query of the block: the relevance of its ranked gallery,
+        same-identity same-camera entries removed."""
+        # Squared distances rank identically to Euclidean ones.
+        dist = q[blk] @ g.T
+        dist *= 2.0
+        np.subtract(sq_q[blk, None] + sq_g, dist, out=dist)
+        order = np.argsort(dist, axis=1, kind="stable")
+        rows = []
+        for i, ranked in zip(range(blk.start, blk.stop), order):
+            keep = ~((g_ids[ranked] == q_ids[i]) & (g_cams[ranked] == q_cams[i]))
+            rows.append((g_ids[ranked] == q_ids[i])[keep])
+        return rows
 
     aps = []
     cmc_hits = {r: 0 for r in ranks}
     n_excluded = 0
-    for i in range(q.shape[0]):
-        ranked = order[i]
-        keep = ~((g_ids[ranked] == q_ids[i]) & (g_cams[ranked] == q_cams[i]))
-        relevance = (g_ids[ranked] == q_ids[i])[keep]
-        if not relevance.any():
-            n_excluded += 1
-            continue
-        aps.append(average_precision(relevance))
-        first_hit = int(np.flatnonzero(relevance)[0])
-        for r in ranks:
-            if first_hit < r:
-                cmc_hits[r] += 1
+    for blk in _row_blocks(q.shape[0]):
+        for relevance in relevance_rows(blk):
+            if not relevance.any():
+                n_excluded += 1
+                continue
+            aps.append(average_precision(relevance))
+            first_hit = int(np.flatnonzero(relevance)[0])
+            for r in ranks:
+                if first_hit < r:
+                    cmc_hits[r] += 1
     n_valid = len(aps)
     if n_valid == 0:
         raise NoValidQueryError("no query has a valid cross-camera positive")

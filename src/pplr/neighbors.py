@@ -1,8 +1,21 @@
 """Pairwise distances, exact top-k ranked lists, and the k-reciprocal
 Jaccard distance used as the clustering metric.
 
-Everything here is exact search; the target scale is a few thousand
-samples, so N x N float64 matrices are fine.
+Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` rows.
+A call holds its N x N float64 result and block-sized temporaries:
+:func:`pairwise_sq_euclidean` and :func:`topk_ranked_lists` one N x N
+matrix, :func:`k_reciprocal_jaccard` two (the normalized distance and the
+output), with its encoding kept sparse. Only the dense results stand in
+the way of larger banks.
+
+The squared distances are ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` over one
+Gram matrix ``x @ x.T`` of C-contiguous features, which numpy computes as
+a symmetric rank-k update (BLAS ``syrk``) and mirrors across the diagonal,
+so entries (i, j) and (j, i) are the same bits. The matrix is therefore
+exactly symmetric, and a ``(D + D^T) / 2`` pass would change no bit; none
+is done. The Gram matrix is taken in one call, not per row block: a
+block product ``x[rows] @ x.T`` is a general product, which BLAS may
+round differently in the last bit (OpenBLAS does for small blocks).
 
 Ranking never sorts a whole row. :func:`_stable_topk` finds each row's
 k-th smallest value with ``np.partition``, keeps every entry at or below
@@ -21,6 +34,7 @@ matrix passed in from outside is still checked in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,6 +44,10 @@ METRIC_SQ_EUCLIDEAN = "squared-euclidean"
 METRIC_JACCARD = "jaccard"
 
 SYMMETRY_ATOL = 1e-6
+
+# Rows per block of the row-blocked passes: block temporaries stay at
+# _BLOCK_ROWS x N however large N grows.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +93,30 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
+def _row_blocks(n: int) -> List[slice]:
+    """Consecutive slices of at most ``_BLOCK_ROWS`` rows that cover 0..n."""
+    return [slice(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
+
+
 def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
-    """All-pairs squared Euclidean distances with an exact zero diagonal."""
-    x = np.asarray(features, dtype=np.float64)
+    """All-pairs squared Euclidean distances with an exact zero diagonal.
+
+    The Gram matrix is the output buffer; each row block is then turned
+    into ``(sq_i + sq_j) - 2 g_ij``, clamped at 0, in place. Features are
+    made C-contiguous first: on a strided operand numpy computes
+    ``x @ x.T`` as a general product, which need not be symmetric."""
+    x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite feature entry")
     sq = np.einsum("ij,ij->i", x, x)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d, 0.0, out=d)
-    d = 0.5 * (d + d.T)
+    d = x @ x.T
+    for blk in _row_blocks(d.shape[0]):
+        rows = d[blk]
+        rows *= 2.0
+        np.subtract(sq[blk, None] + sq, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix._trusted(d, METRIC_SQ_EUCLIDEAN)
 
@@ -105,39 +136,146 @@ def topk_ranked_lists(dist: DistanceMatrix, k: int, space_id: str) -> RankedList
     n = dist.n_samples
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N; got k={k}, N={n}")
-    masked = dist.values.copy()
-    np.fill_diagonal(masked, np.inf)
-    return RankedLists(space_id=space_id, k=k, lists=_stable_topk(masked, k))
+    lists = np.empty((n, k), dtype=np.intp)
+    buffer = np.empty((min(_BLOCK_ROWS, n), n))
+    for blk in _row_blocks(n):
+        masked = buffer[: blk.stop - blk.start]
+        masked[...] = dist.values[blk]
+        masked[np.arange(masked.shape[0]), np.arange(blk.start, blk.stop)] = np.inf
+        lists[blk] = _stable_topk(masked, k)
+    return RankedLists(space_id=space_id, k=k, lists=lists)
 
 
-def _top_membership(rank: np.ndarray, depth: int) -> np.ndarray:
-    """Boolean matrix: entry (i, j) true iff j is within the first ``depth``
-    positions of row i's ranking (the row's own index included)."""
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Over every stored entry of the compressed rows ``rows`` (row pointers
+    ``ptr``), in row order: the position in ``rows`` and the storage index."""
+    lengths = ptr[rows + 1] - ptr[rows]
+    which = np.repeat(np.arange(rows.size), lengths)
+    pos = np.repeat(ptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(pos.size)
+    return which, pos
+
+
+def _pointers(sorted_rows: np.ndarray, n: int) -> np.ndarray:
+    """Row pointers (length n + 1) of entries sorted by row."""
+    return np.searchsorted(sorted_rows, np.arange(n + 1))
+
+
+def _reciprocal_pairs(rank: np.ndarray, depth: int) -> np.ndarray:
+    """Sorted keys ``i * N + j`` of the pairs in which i and j each list the
+    other within the first ``depth`` positions of their rankings (the own
+    index included)."""
     n = rank.shape[0]
-    member = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), depth)
-    member[rows, rank[:, :depth].ravel()] = True
-    return member
+    keys = np.sort((np.arange(n)[:, None] * n + rank[:, :depth]).ravel())
+    return keys[np.isin(keys % n * n + keys // n, keys)]
 
 
-def _expanded_sets(recip: np.ndarray, recip_half: np.ndarray) -> np.ndarray:
-    """Row i of ``recip`` joined with every half-width set ``recip_half[q]``,
-    q in row i, that has at least two thirds of its members in row i."""
-    n = recip.shape[0]
-    # Members of each half-width set, padded with index n: an extra column
-    # that is false when read and ignored when written.
-    h_rows, h_cols = np.nonzero(recip_half)
-    sizes = np.bincount(h_rows, minlength=n)
-    members = np.full((n, sizes.max()), n)
-    members[h_rows, np.arange(h_rows.size) - (np.cumsum(sizes) - sizes)[h_rows]] = h_cols
-    out = np.zeros((n, n + 1), dtype=bool)
-    out[:, :n] = recip
-    rows, qs = np.nonzero(recip)
-    candidates = members[qs]
-    overlap = np.count_nonzero(out[rows[:, None], candidates], axis=1)
-    taken = 3 * overlap >= 2 * sizes[qs]
-    out[rows[taken, None], candidates[taken]] = True
-    return out[:, :n]
+def _expanded_sets(
+    recip: np.ndarray, recip_half: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's reciprocal set joined with every half-width set of a
+    member q that has at least two thirds of its members in the row's set;
+    from pair keys as in :func:`_reciprocal_pairs` to (rows, columns) in
+    row-major order, one boolean row block at a time."""
+    h_rows, h_cols = np.divmod(recip_half, n)
+    h_ptr = _pointers(h_rows, n)
+    r_rows, r_cols = np.divmod(recip, n)
+    r_ptr = _pointers(r_rows, n)
+    rows, cols = [], []
+    for blk in _row_blocks(n):
+        span = slice(r_ptr[blk.start], r_ptr[blk.stop])
+        local, qs = r_rows[span] - blk.start, r_cols[span]
+        member = np.zeros((blk.stop - blk.start, n), dtype=bool)
+        member[local, qs] = True
+        pair, pos = _gather(h_ptr, qs)
+        overlap = np.bincount(pair[member[local[pair], h_cols[pos]]], minlength=qs.size)
+        taken = (3 * overlap >= 2 * (h_ptr[qs + 1] - h_ptr[qs]))[pair]
+        member[local[pair[taken]], h_cols[pos[taken]]] = True
+        r, c = np.nonzero(member)
+        rows.append(r + blk.start)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _encoding(dist: np.ndarray, rank: np.ndarray, k1: int) -> Tuple[np.ndarray, ...]:
+    """Steps 1-3 of :func:`k_reciprocal_jaccard`: V in compressed rows,
+    as row pointers, column indices and weights."""
+    n = rank.shape[0]
+    recip = _reciprocal_pairs(rank, k1 + 1)
+    recip_half = _reciprocal_pairs(rank, int(round(k1 / 2)) + 1)
+    rows, cols = _expanded_sets(recip, recip_half, n)
+    ptr = _pointers(rows, n)
+    vals = np.exp(-dist[rows, cols])
+    for i in range(n):
+        weights = vals[ptr[i] : ptr[i + 1]]
+        weights /= weights.sum()
+    return ptr, cols, vals
+
+
+def _query_expansion(
+    encoding: Tuple[np.ndarray, ...], rank: np.ndarray, k2: int
+) -> Tuple[np.ndarray, ...]:
+    """Step 4 of :func:`k_reciprocal_jaccard` on dense row blocks of V.
+    Returns the row sums of the result and the result in compressed
+    columns: column pointers, row indices (ascending within a column) and
+    weights."""
+    ptr, cols, vals = encoding
+    n = rank.shape[0]
+    row_sums = np.empty(n)
+    e_rows, e_cols, e_vals = [], [], []
+    for blk in _row_blocks(n):
+        sources = rank[blk, :k2].T if k2 > 1 else [np.arange(blk.start, blk.stop)]
+        dense = np.zeros((blk.stop - blk.start, n))
+        for src in sources:
+            which, pos = _gather(ptr, src)
+            dense[which, cols[pos]] += vals[pos]
+        if k2 > 1:
+            dense /= k2
+        row_sums[blk] = dense.sum(axis=1)
+        r, c = np.nonzero(dense)
+        e_rows.append(r + blk.start)
+        e_cols.append(c)
+        e_vals.append(dense[r, c])
+    flat_cols = np.concatenate(e_cols)
+    by_col = np.argsort(flat_cols, kind="stable")
+    col_ptr = _pointers(flat_cols[by_col], n)
+    return row_sums, col_ptr, np.concatenate(e_rows)[by_col], np.concatenate(e_vals)[by_col]
+
+
+def _sums_of_minima(expanded: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Step 5's sums of minima, accumulated into a fresh N x N buffer one
+    column of V at a time, and the row sums passed through."""
+    row_sums, col_ptr, col_rows, col_vals = expanded
+    n = row_sums.size
+    out = np.zeros((n, n), dtype=np.float64)
+    for m in range(n):
+        support = col_rows[col_ptr[m] : col_ptr[m + 1]]
+        if support.size:
+            weights = col_vals[col_ptr[m] : col_ptr[m + 1]]
+            np.add.at(out, np.ix_(support, support), np.minimum.outer(weights, weights))
+    return out, row_sums
+
+
+def _jaccard_blend(
+    out: np.ndarray, row_sums: np.ndarray, dist: np.ndarray, blend_lambda: float
+) -> None:
+    """Steps 5-6 of :func:`k_reciprocal_jaccard` in place, one row block at
+    a time: ``out`` holds the sums of minima on entry, the clipped blend
+    with a zero diagonal on exit."""
+    n = out.shape[0]
+    buffer = np.empty((min(_BLOCK_ROWS, n), n))
+    for blk in _row_blocks(n):
+        rows = out[blk]
+        scratch = buffer[: rows.shape[0]]
+        np.add(row_sums[blk, None], row_sums, out=scratch)
+        scratch -= rows  # sums of maxima
+        np.divide(rows, scratch, out=rows)
+        np.subtract(1.0, rows, out=rows)
+        rows *= 1.0 - blend_lambda
+        np.multiply(dist[blk], blend_lambda, out=scratch)
+        rows += scratch
+    np.clip(out, 0.0, 1.0, out=out)
+    np.fill_diagonal(out, 0.0)
 
 
 def k_reciprocal_jaccard(
@@ -160,19 +298,28 @@ def k_reciprocal_jaccard(
     4. local query expansion: V_i is replaced by the mean of V over the
        top-k2 ranked originals;
     5. jaccard(i, j) = 1 - sum(min(V_i, V_j)) / sum(max(V_i, V_j));
-    6. blend with the normalized Euclidean matrix by ``blend_lambda`` and
-       symmetrize as (D + D^T) / 2.
+    6. blend with the normalized Euclidean matrix by ``blend_lambda``.
 
     Rankings are the first k1 + 1 columns of a stable row sort of the
     normalized distances (see :func:`_stable_topk`): ties go to the smaller
     index, and with duplicate rows a sample's own index need not come
     first. Every later step reads only that prefix.
 
-    The sum of minima in step 5 is accumulated one column m of V at a time,
-    over the pairs of rows in that column's support. A pair (i, j) thus
-    receives its terms in ascending m, the order of a per-pair sum over m,
-    so the result does not depend on how the work is batched. Step 4 is a
-    running sum over the k2 ranked rows, then one division by k2.
+    Memory: two N x N float64 matrices, the normalized distance and the
+    output. The sets of steps 1-2 are sorted pair keys, and V is held as
+    per-row (index, weight) arrays. Step 4 and the row sums run on one
+    dense row block of V at a time: a running sum over the k2 ranked rows,
+    one division by k2, then a pairwise row sum over all N columns, the
+    bits of ``v.sum(axis=1)`` over the dense matrix.
+
+    The sum of minima in step 5 is accumulated into the output buffer one
+    column m of V at a time (read from a column-major copy of V), over the
+    pairs of rows in that column's support. A pair (i, j) thus receives its
+    terms in ascending m, the order of a per-pair sum over m, so the result
+    does not depend on how the work is batched. Each row block of the
+    buffer then becomes the Jaccard distance, the blend and the clip in
+    place. Every term is symmetric in (i, j), so the result is exactly
+    symmetric and needs no ``(D + D^T) / 2``.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
@@ -185,38 +332,12 @@ def k_reciprocal_jaccard(
 
     dist = pairwise_sq_euclidean(x).values
     dmax = dist.max()
-    norm_dist = dist / dmax if dmax > 0 else dist.copy()
-    rank = _stable_topk(norm_dist, k1 + 1)
-
-    in_top = _top_membership(rank, k1 + 1)
-    recip = in_top & in_top.T
-    half = int(round(k1 / 2))
-    in_top_half = _top_membership(rank, half + 1)
-    recip_half = in_top_half & in_top_half.T
-
-    v = np.zeros((n, n), dtype=np.float64)
-    for i, expanded in enumerate(_expanded_sets(recip, recip_half)):
-        idx = np.flatnonzero(expanded)
-        weights = np.exp(-norm_dist[i, idx])
-        v[i, idx] = weights / weights.sum()
-
-    if k2 > 1:
-        total = v[rank[:, 0]]
-        for t in range(1, k2):
-            total += v[rank[:, t]]
-        v = total / k2
-
-    row_sums = v.sum(axis=1)
-    min_sums = np.zeros((n, n), dtype=np.float64)
-    for col in np.ascontiguousarray(v.T):
-        support = np.flatnonzero(col)
-        weights = col[support]
-        min_sums[np.ix_(support, support)] += np.minimum.outer(weights, weights)
-    max_sums = row_sums[:, None] + row_sums[None, :] - min_sums
-    jaccard = 1.0 - min_sums / max_sums
-
-    final = (1.0 - blend_lambda) * jaccard + blend_lambda * norm_dist
-    final = 0.5 * (final + final.T)
-    np.clip(final, 0.0, 1.0, out=final)
-    np.fill_diagonal(final, 0.0)
-    return DistanceMatrix._trusted(final, METRIC_JACCARD)
+    if dmax > 0:
+        dist = dist / dmax  # the unnormalized matrix is released here
+    rank = np.empty((n, k1 + 1), dtype=np.intp)
+    for blk in _row_blocks(n):
+        rank[blk] = _stable_topk(dist[blk], k1 + 1)
+    # Nested, so that each stage's arrays are freed before the output exists.
+    out, row_sums = _sums_of_minima(_query_expansion(_encoding(dist, rank, k1), rank, k2))
+    _jaccard_blend(out, row_sums, dist, blend_lambda)
+    return DistanceMatrix._trusted(out, METRIC_JACCARD)

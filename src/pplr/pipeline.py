@@ -193,7 +193,9 @@ def _project_spaces(bank_raw: FeatureBank, projection: np.ndarray, rows=slice(No
     for space_id, m in bank_raw.spaces():
         x = np.asarray(m[rows], dtype=np.float64)
         v = x @ projection
-        nrm = np.linalg.norm(v, axis=1)
+        # A diverged projection overflows here; the check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = np.linalg.norm(v, axis=1)
         bad = np.flatnonzero((nrm == 0.0) | ~np.isfinite(nrm))
         if bad.size:
             sample = np.arange(bank_raw.n_samples)[rows][bad[0]]

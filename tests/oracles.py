@@ -12,6 +12,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from pplr.evaluate import average_precision
+
 
 def pairwise_sq_oracle(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -236,6 +238,61 @@ def map_cmc_oracle(
                 cmc_hits[r] += 1
     if not aps:
         raise ValueError("no valid query")
+    return (
+        float(np.mean(aps)),
+        {r: cmc_hits[r] / len(aps) for r in ranks},
+        excluded,
+    )
+
+
+def sq_euclidean_dense_oracle(x: np.ndarray) -> np.ndarray:
+    """The dense one-shot form of ``pairwise_sq_euclidean``, with the
+    ``(D + D^T) / 2`` symmetrization it used to apply; on C-contiguous
+    features the package must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d, 0.0, out=d)
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def map_cmc_dense_oracle(
+    query_feats: np.ndarray,
+    gallery_feats: np.ndarray,
+    query_ids: np.ndarray,
+    gallery_ids: np.ndarray,
+    query_cams: np.ndarray,
+    gallery_cams: np.ndarray,
+    ranks: Sequence[int],
+) -> Tuple[float, Dict[int, float], int]:
+    """The dense form of ``map_cmc``: one query x gallery distance matrix
+    and one full stable argsort, then the same per-query scoring, so the
+    blocked package form must give the same floats exactly."""
+    q = np.asarray(query_feats, dtype=np.float64)
+    g = np.asarray(gallery_feats, dtype=np.float64)
+    dist = (
+        np.einsum("ij,ij->i", q, q)[:, None]
+        + np.einsum("ij,ij->i", g, g)[None, :]
+        - 2.0 * (q @ g.T)
+    )
+    order = np.argsort(dist, axis=1, kind="stable")
+    aps = []
+    cmc_hits = {r: 0 for r in ranks}
+    excluded = 0
+    for i in range(q.shape[0]):
+        ranked = order[i]
+        keep = ~((gallery_ids[ranked] == query_ids[i]) & (gallery_cams[ranked] == query_cams[i]))
+        relevance = (gallery_ids[ranked] == query_ids[i])[keep]
+        if not relevance.any():
+            excluded += 1
+            continue
+        aps.append(average_precision(relevance))
+        first_hit = int(np.flatnonzero(relevance)[0])
+        for r in ranks:
+            if first_hit < r:
+                cmc_hits[r] += 1
     return (
         float(np.mean(aps)),
         {r: cmc_hits[r] / len(aps) for r in ranks},

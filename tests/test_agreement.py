@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import cross_agreement_oracle
 from pplr.agreement import agreement_matrix, cross_agreement
-from pplr.core import RankedLists, l2_normalize
+from pplr.core import FeatureBank, RankedLists, l2_normalize
 from pplr.ingest import SynthConfig, generate_synthetic_bank
 from pplr.neighbors import pairwise_sq_euclidean, topk_ranked_lists
+from pplr.pipeline import PipelineConfig, agreement_scores
 
 
 def make_lists(rows, space_id="global"):
@@ -124,3 +128,31 @@ class TestAgreementMatrix:
             if previous is not None:
                 assert mean0 <= previous
             previous = mean0
+
+
+def rows_with_duplicates(data, n, label):
+    """n rows drawn from at most 5 distinct small-integer rows: duplicate
+    rows and tied distances throughout."""
+    distinct = data.draw(arrays(np.int64, (5, 3), elements=st.integers(1, 3)), label=label)
+    picks = data.draw(arrays(np.int64, n, elements=st.integers(0, 4)), label=label + " picks")
+    return l2_normalize(distinct[picks].astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_agreement_scores_properties_on_banks_with_duplicate_rows(data):
+    n = data.draw(st.integers(2, 16), label="n")
+    global_feats = rows_with_duplicates(data, n, "global")
+    other = rows_with_duplicates(data, n, "part")
+    bank = FeatureBank(global_feats=global_feats, part_feats=(global_feats, other), normalized=True)
+    cfg = PipelineConfig(k_agreement=data.draw(st.integers(1, 20), label="k_agreement"))
+    scores = agreement_scores(bank, cfg).scores
+    assert np.all((scores >= 0.0) & (scores <= 1.0))
+    # The part identical to the global space agrees with it exactly.
+    assert np.array_equal(scores[:, 0], np.ones(n))
+    # Cross agreement is symmetric in its two spaces.
+    k = min(cfg.k_agreement, n - 1)
+    g = topk_ranked_lists(pairwise_sq_euclidean(global_feats), k, "global")
+    p = topk_ranked_lists(pairwise_sq_euclidean(other), k, "part1")
+    assert np.array_equal(cross_agreement(g, p), cross_agreement(p, g))
+    assert np.array_equal(scores[:, 1], cross_agreement(p, g))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,26 @@ class TestExitCodes:
         assert main(argv) == 4
         assert not out.exists() and not model.exists()
         assert "numerical error" in capsys.readouterr().err
+
+    def test_diverged_run_prints_only_the_error_line(self, tmp_path):
+        # numpy's overflow warning from the projected row norms used to
+        # precede pplr's own line on stderr.
+        bank = str(tmp_path / "bank.pplb")
+        assert main(["simgen", "--out", bank]) == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["pipeline", "--bank", bank, "--out", str(tmp_path / "o.jsonl"),
+                "--epochs", "1", "--iters", "5", "--lr", "1e308"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pplr.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: "), proc.stderr
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 4, "--n-cameras", "1")], ids=["one-sample", "one-camera"]

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import map_cmc_oracle
+from oracles import map_cmc_dense_oracle, map_cmc_oracle
 from pplr.core import NoValidQueryError
 from pplr.evaluate import average_precision, label_quality, map_cmc
 
@@ -107,6 +109,50 @@ class TestMapCmc:
         ids, cams = np.array([0, 0, 1]), np.zeros(3, dtype=np.int64)
         with pytest.raises(NoValidQueryError, match="cross-camera positive"):
             map_cmc(feats, feats, ids, ids, cams, cams)
+
+
+def assert_same_as_dense(*inst):
+    result = map_cmc(*inst)
+    ref_map, ref_cmc, ref_excluded = map_cmc_dense_oracle(*inst, ranks=(1, 5, 10))
+    assert result.map == ref_map
+    assert result.cmc == ref_cmc
+    assert result.n_excluded == ref_excluded
+
+
+class TestMapCmcAcrossRowBlocks:
+    """Ranked one 9-row block of queries at a time (``small_blocks``), the
+    result equals the dense single-argsort form exactly."""
+
+    def test_query_differs_from_gallery(self, small_blocks):
+        rng = np.random.default_rng(64)
+        for n_query in (31, 58):
+            assert n_query % small_blocks and n_query > 2 * small_blocks
+            assert_same_as_dense(*random_instance(rng, n_query=n_query, n_gallery=77))
+
+    def test_tie_heavy_bank(self, small_blocks):
+        # Integer points on a 3 x 3 grid: exact distances, many equal.
+        rng = np.random.default_rng(65)
+        feats = rng.integers(0, 3, size=(50, 2)).astype(np.float64)
+        ids = rng.integers(0, 6, size=50)
+        cams = rng.integers(0, 3, size=50)
+        assert_same_as_dense(feats, feats, ids, ids, cams, cams)
+        assert_same_as_dense(feats[:40], feats[10:], ids[:40], ids[10:], cams[:40], cams[10:])
+
+
+def test_map_cmc_allocates_less_than_one_distance_matrix():
+    rng = np.random.default_rng(66)
+    n = 640
+    feats = rng.standard_normal((n, 32))
+    ids = np.arange(n) % 40
+    cams = (np.arange(n) // 40) % 4
+    map_cmc(feats, feats, ids, ids, cams, cams)  # first call: one-time imports
+    tracemalloc.start()
+    try:
+        map_cmc(feats, feats, ids, ids, cams, cams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 class TestLabelQuality:

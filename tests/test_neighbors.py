@@ -1,11 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import k_reciprocal_loop_oracle, k_reciprocal_oracle, pairwise_sq_oracle
-from pplr.core import NumericalError
+from oracles import (
+    k_reciprocal_loop_oracle,
+    k_reciprocal_oracle,
+    pairwise_sq_oracle,
+    sq_euclidean_dense_oracle,
+)
+from pplr.core import NumericalError, l2_normalize
+from pplr.ingest import SynthConfig, generate_synthetic_bank
 from pplr.neighbors import (
     DistanceMatrix,
     _stable_topk,
@@ -264,3 +272,56 @@ class TestKReciprocalJaccard:
             k_reciprocal_jaccard(x, k1=5, k2=6)
         with pytest.raises(ValueError):
             k_reciprocal_jaccard(x, k1=5, k2=2, blend_lambda=1.5)
+
+
+class TestAcrossRowBlocks:
+    """The exact checks rerun with 9-row blocks (the ``small_blocks``
+    fixture). Bank sizes 30, 35, 40 (k-reciprocal), 41, 60, 300 (top-k) and
+    those below each span at least 3 blocks and end on a ragged one."""
+
+    def test_pairwise_matches_dense_form(self, small_blocks):
+        rng = np.random.default_rng(19)
+        for n, dim in [(30, 2), (35, 6), (58, 32), (301, 64)]:
+            x = rng.standard_normal((n, dim))
+            assert n % small_blocks and n > 2 * small_blocks
+            assert np.array_equal(pairwise_sq_euclidean(x).values, sq_euclidean_dense_oracle(x))
+
+    @pytest.mark.parametrize("case", ["random", "grid", "duplicates"])
+    def test_topk_equals_full_stable_argsort(self, small_blocks, case):
+        TestTopkRankedLists().test_equals_full_stable_argsort(case)
+
+    def test_k_reciprocal_bit_exact_against_loop_oracle(self, small_blocks):
+        TestKReciprocalJaccard().test_bit_exact_against_loop_oracle()
+
+
+def test_strided_features_give_an_exactly_symmetric_matrix():
+    # On a strided operand numpy's x @ x.T is a general product, which is
+    # not always symmetric; the features are made contiguous first.
+    big = np.random.default_rng(20).standard_normal((300, 64))
+    x = big[:, ::2]
+    d = pairwise_sq_euclidean(x).values
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(d, sq_euclidean_dense_oracle(np.ascontiguousarray(x)))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_within_a_few_n_by_n_matrices():
+    # The synthetic bank with 32 identities: N = 640. k_reciprocal_jaccard
+    # holds the normalized distance and its output plus row-block and
+    # sparse-encoding temporaries; the dense form held about 11 matrices.
+    x = l2_normalize(generate_synthetic_bank(SynthConfig(seed=7, n_identities=32)).global_feats)
+    matrix = x.shape[0] ** 2 * 8
+    dist = pairwise_sq_euclidean(x)
+    k_reciprocal_jaccard(x)  # first call: numpy imports helper modules once
+    assert traced_peak(k_reciprocal_jaccard, x) <= 3 * matrix
+    assert traced_peak(pairwise_sq_euclidean, x) <= 1.5 * matrix
+    assert traced_peak(topk_ranked_lists, dist, 20, "global") <= 1.5 * matrix

@@ -20,11 +20,9 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional
-
-import numpy as np
 
 from .cluster import DbscanParams
 from .core import ConfigError, DataFormatError, FeatureBank, NumericalError, normalize_bank
@@ -35,6 +33,7 @@ from .pipeline import (
     PipelineConfig,
     agreement_scores,
     cluster_labels,
+    clustered_part_predictions,
     clustering_stage,
     init_heads,
     initial_model,
@@ -45,44 +44,17 @@ from .pipeline import (
 )
 from .refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
 
+# The dataclass defaults, except the CLI's own synthetic bank (occlusion
+# and seed). The pipeline's nested sections are keys of their own.
 DEFAULT_CONFIG: Dict[str, dict] = {
-    "synth": {
-        "n_identities": 30,
-        "samples_per_identity": 20,
-        "dim": 64,
-        "n_parts": 3,
-        "n_cameras": 4,
-        "cluster_spread": 0.9,
-        "occlusion_fraction": 0.2,
-        "camera_shift": 0.4,
-        "seed": 7,
-    },
-    "dbscan": {"eps": 0.6, "min_samples": 4},
-    "refinement": {"beta": 0.5, "aals_warmup_epochs": 5, "constant_alpha": None},
-    "loss_weights": {
-        "lambda_cam": 0.5,
-        "tau": 0.07,
-        "n_hard_negatives": 50,
-        "cam_per_space": False,
-    },
-    "pipeline": {
-        "epochs": 15,
-        "iters_per_epoch": 50,
-        "batch_p": 16,
-        "batch_k": 4,
-        "learning_rate": 0.5,
-        "k_agreement": 20,
-        "proj_dim": 32,
-        "seed": 0,
-        "mode": "pplr",
-    },
+    "synth": asdict(SynthConfig(occlusion_fraction=0.2, seed=7)),
+    "dbscan": asdict(DbscanParams()),
+    "refinement": asdict(RefinementConfig()),
+    "loss_weights": asdict(LossWeights()),
+    "pipeline": {k: v for k, v in asdict(PipelineConfig()).items() if not isinstance(v, dict)},
     "paths": {"bank_in": None, "bank_out": None, "report_out": None, "model_out": None},
 }
 
-# Fields whose prototype (null) does not pin the type.
-_NULLABLE_NUMBER = {"refinement.constant_alpha"}
-_NULLABLE_STRING = {"paths.bank_in", "paths.bank_out", "paths.report_out", "paths.model_out"}
-_NULLABLE = _NULLABLE_NUMBER | _NULLABLE_STRING
 _NUMBER_OR_LIST = {"synth.occlusion_fraction"}
 
 
@@ -112,7 +84,7 @@ def _check_value(path: str, value, prototype) -> None:
             raise ConfigError(f"{path}: expected number or list of numbers")
         return
     if value is None:
-        if path in _NULLABLE:
+        if prototype is None:
             return
         raise ConfigError(f"{path}: null is not allowed")
     if isinstance(prototype, bool):
@@ -127,13 +99,13 @@ def _check_value(path: str, value, prototype) -> None:
     elif isinstance(prototype, str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected string, got {type(value).__name__}")
-    elif prototype is None:
-        if path in _NULLABLE_STRING and not isinstance(value, str):
+    # Left: the null defaults, strings under paths and one number,
+    # refinement.constant_alpha.
+    elif path.startswith("paths."):
+        if not isinstance(value, str):
             raise ConfigError(f"{path}: expected string or null")
-        if path in _NULLABLE_NUMBER and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise ConfigError(f"{path}: expected number or null")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected number or null")
 
 
 def _merge(document: dict) -> dict:
@@ -340,10 +312,7 @@ def _cmd_refine(args, cfg: RunConfig) -> int:
         # Predictions come from centroid-initialized heads, mirroring the
         # state a training stage starts from.
         heads = init_heads(feats, labels)
-        clustered = np.flatnonzero(labels.labels >= 0)
-        preds = np.stack(
-            [heads[1 + p].predict(feats.part_feats[p][clustered]) for p in range(feats.n_parts)]
-        )
+        clustered, preds = clustered_part_predictions(feats, heads, labels)
         lab = labels.labels[clustered]
         ca = agreement.scores[clustered]
         pglr = pglr_targets(lab, k, preds, ca, cfg.refinement.beta)

@@ -1,9 +1,9 @@
 """Shared domain types: feature banks, pseudo-labels, ranked lists, agreement scores.
 
 Every container in this module is immutable after construction (frozen
-dataclass holding read-only array copies), so instances can be shared freely
-across worker threads. All validation happens in ``__post_init__``; an
-invalid instance cannot exist.
+dataclass holding read-only array copies), so a stage can hand an instance
+to the next without copying it. All validation happens in
+``__post_init__``; an invalid instance cannot exist.
 """
 
 from __future__ import annotations

@@ -160,23 +160,20 @@ def label_quality(labels: np.ndarray, gt_ids: np.ndarray) -> LabelQuality:
     clustered = lab >= 0
     outlier_fraction = float(np.count_nonzero(~clustered) / n)
 
-    correct = 0
-    for b in np.unique(lab[clustered]):
-        member_gt = gt[lab == b]
-        ids, counts = np.unique(member_gt, return_counts=True)
-        majority = ids[np.argmax(counts)]
-        correct += int(np.count_nonzero(member_gt == majority))
-    accuracy = correct / n
-
-    tp = 0
-    pred_pairs = 0
-    for b in np.unique(lab[clustered]):
-        members_gt = gt[lab == b]
-        m = members_gt.size
-        pred_pairs += m * (m - 1) // 2
-        _, counts = np.unique(members_gt, return_counts=True)
-        tp += int((counts * (counts - 1) // 2).sum())
-    _, gt_counts = np.unique(gt, return_counts=True)
+    # The non-zero cells of the (cluster x identity) count table of the
+    # clustered samples; a cluster's majority identity holds its largest cell.
+    ids, gt_index = np.unique(gt, return_inverse=True)
+    clusters, cluster_index = np.unique(lab[clustered], return_inverse=True)
+    cells, counts = np.unique(
+        cluster_index * ids.size + gt_index[clustered], return_counts=True
+    )
+    majority = np.zeros(clusters.size, dtype=np.int64)
+    np.maximum.at(majority, cells // ids.size, counts)
+    sizes = np.bincount(cluster_index, minlength=clusters.size)
+    accuracy = int(majority.sum()) / n
+    tp = int((counts * (counts - 1) // 2).sum())
+    pred_pairs = int((sizes * (sizes - 1) // 2).sum())
+    gt_counts = np.bincount(gt_index)
     gt_pairs = int((gt_counts * (gt_counts - 1) // 2).sum())
     precision = tp / pred_pairs if pred_pairs else 0.0
     recall = tp / gt_pairs if gt_pairs else 0.0

@@ -40,9 +40,6 @@ import numpy as np
 
 from .core import NumericalError, RankedLists, _frozen
 
-METRIC_SQ_EUCLIDEAN = "squared-euclidean"
-METRIC_JACCARD = "jaccard"
-
 SYMMETRY_ATOL = 1e-6
 
 # Rows per block of the row-blocked passes: block temporaries stay at
@@ -55,7 +52,6 @@ class DistanceMatrix:
     """Symmetric N x N dissimilarity with a zero diagonal."""
 
     values: np.ndarray
-    metric: str = METRIC_SQ_EUCLIDEAN
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -69,12 +65,10 @@ class DistanceMatrix:
             raise ValueError("negative distance entry")
         if np.abs(arr - arr.T).max(initial=0.0) > SYMMETRY_ATOL:
             raise ValueError("distance matrix is not symmetric")
-        if self.metric == METRIC_JACCARD and arr.size and arr.max() > 1.0 + 1e-12:
-            raise ValueError("jaccard distances must lie in [0, 1]")
         object.__setattr__(self, "values", _frozen(arr))
 
     @classmethod
-    def _trusted(cls, values: np.ndarray, metric: str) -> "DistanceMatrix":
+    def _trusted(cls, values: np.ndarray) -> "DistanceMatrix":
         """Wrap a float64 matrix that this module built and owns: frozen in
         place, without the copy of ``__post_init__``. Of its checks only
         finiteness remains, the one invariant that construction does not
@@ -85,7 +79,6 @@ class DistanceMatrix:
         out = object.__new__(cls)
         values.flags.writeable = False
         object.__setattr__(out, "values", values)
-        object.__setattr__(out, "metric", metric)
         return out
 
     @property
@@ -110,15 +103,17 @@ def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
         raise ValueError("features must be a 2-D matrix")
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite feature entry")
-    sq = np.einsum("ij,ij->i", x, x)
-    d = x @ x.T
-    for blk in _row_blocks(d.shape[0]):
-        rows = d[blk]
-        rows *= 2.0
-        np.subtract(sq[blk, None] + sq, rows, out=rows)
-        np.maximum(rows, 0.0, out=rows)
+    # Huge features overflow here; the finiteness check of _trusted reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", x, x)
+        d = x @ x.T
+        for blk in _row_blocks(d.shape[0]):
+            rows = d[blk]
+            rows *= 2.0
+            np.subtract(sq[blk, None] + sq, rows, out=rows)
+            np.maximum(rows, 0.0, out=rows)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix._trusted(d, METRIC_SQ_EUCLIDEAN)
+    return DistanceMatrix._trusted(d)
 
 
 def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
@@ -269,7 +264,9 @@ def _jaccard_blend(
         scratch = buffer[: rows.shape[0]]
         np.add(row_sums[blk, None], row_sums, out=scratch)
         scratch -= rows  # sums of maxima
-        np.divide(rows, scratch, out=rows)
+        # Two empty encodings divide 0 by 0; _trusted reports the NaN.
+        with np.errstate(invalid="ignore"):
+            np.divide(rows, scratch, out=rows)
         np.subtract(1.0, rows, out=rows)
         rows *= 1.0 - blend_lambda
         np.multiply(dist[blk], blend_lambda, out=scratch)
@@ -340,4 +337,4 @@ def k_reciprocal_jaccard(
     # Nested, so that each stage's arrays are freed before the output exists.
     out, row_sums = _sums_of_minima(_query_expansion(_encoding(dist, rank, k1), rank, k2))
     _jaccard_blend(out, row_sums, dist, blend_lambda)
-    return DistanceMatrix._trusted(out, METRIC_JACCARD)
+    return DistanceMatrix._trusted(out)

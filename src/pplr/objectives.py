@@ -17,6 +17,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .core import PseudoLabels, _frozen
+from .neighbors import pairwise_sq_euclidean
 
 MODE_BASELINE = "baseline"
 MODE_PPLR = "pplr"
@@ -145,7 +146,7 @@ def softmax_triplet_loss(
     if labels.shape != (b,):
         raise ValueError("one label per feature row is required")
 
-    dist = np.sqrt(_pairwise_sq(f))
+    dist = np.sqrt(pairwise_sq_euclidean(f).values)
     same = labels[:, None] == labels[None, :]
     other = ~same
     np.fill_diagonal(same, False)
@@ -172,14 +173,6 @@ def softmax_triplet_loss(
     vals = np.stack([s * (u_pos - u_neg), -s * u_pos, s * u_neg], axis=1)
     np.add.at(grad, rows, vals.reshape(-1, f.shape[1]))
     return loss, grad, skipped
-
-
-def _pairwise_sq(f: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", f, f)
-    d = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

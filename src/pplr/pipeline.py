@@ -444,30 +444,16 @@ def _train_step(
     }
 
 
-def _refined_hard_labels(
-    feats: FeatureBank,
-    heads: List[ClassifierHead],
-    labels: PseudoLabels,
-    agreements: CrossAgreement,
-    beta: float,
-) -> np.ndarray:
-    """Argmax of the PGLR targets per clustered sample; outliers stay -1."""
-    refined = np.full(labels.n_samples, -1, dtype=np.int64)
+def clustered_part_predictions(
+    feats: FeatureBank, heads: List[ClassifierHead], labels: PseudoLabels
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The clustered rows and the part heads' predictions on them, an
+    (n_parts, rows, K) stack: the part ensemble of the PGLR targets."""
     clustered = np.flatnonzero(labels.labels >= 0)
-    if clustered.size == 0 or labels.k_clusters == 0:
-        return refined
     preds = np.stack(
         [heads[1 + n].predict(feats.part_feats[n][clustered]) for n in range(feats.n_parts)]
     )
-    targets = pglr_targets(
-        labels.labels[clustered],
-        labels.k_clusters,
-        preds,
-        agreements.scores[clustered],
-        beta,
-    )
-    refined[clustered] = np.argmax(targets, axis=1)
-    return refined
+    return clustered, preds
 
 
 def run(
@@ -500,9 +486,17 @@ def run(
         if has_gt:
             raw_quality = label_quality(labels.labels, bank_raw.gt_ids)
             if labels.k_clusters > 0:
-                refined = _refined_hard_labels(
-                    feats, heads, labels, agreement, cfg.refinement.beta
+                # The argmax of the PGLR targets; outliers stay -1.
+                clustered, preds = clustered_part_predictions(feats, heads, labels)
+                targets = pglr_targets(
+                    labels.labels[clustered],
+                    labels.k_clusters,
+                    preds,
+                    agreement.scores[clustered],
+                    cfg.refinement.beta,
                 )
+                refined = np.full(labels.n_samples, -1, dtype=np.int64)
+                refined[clustered] = np.argmax(targets, axis=1)
                 refined_quality = label_quality(refined, bank_raw.gt_ids)
             if bank_raw.camera_ids is not None:
                 try:

@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .objectives import softmax
+
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -90,10 +92,7 @@ def pglr_targets(
         beta: one-hot versus ensemble mix.
     """
     labels = np.asarray(labels)
-    a = np.asarray(agreements, dtype=np.float64)
-    shifted = np.exp(a - a.max(axis=1, keepdims=True))
-    weights = shifted / shifted.sum(axis=1, keepdims=True)
-    ensemble = np.einsum("bn,nbk->bk", weights, part_preds)
+    ensemble = np.einsum("bn,nbk->bk", softmax(agreements, axis=1), part_preds)
     out = (1.0 - beta) * ensemble
     out[np.arange(labels.size), labels] += beta
     return out

@@ -245,6 +245,32 @@ def map_cmc_oracle(
     )
 
 
+def label_quality_oracle(labels, gt_ids) -> Tuple[float, float, float]:
+    """(accuracy, pairwise F, outlier fraction) of a hard labeling: the
+    majority count per cluster by a count of each member identity, and the
+    pair counts by a loop over every pair of samples."""
+    labels = [int(v) for v in labels]
+    gt = [int(v) for v in gt_ids]
+    n = len(labels)
+    members: Dict[int, List[int]] = {}
+    for label, identity in zip(labels, gt):
+        if label >= 0:
+            members.setdefault(label, []).append(identity)
+    correct = sum(max(ids.count(i) for i in ids) for ids in members.values())
+    tp = pred_pairs = gt_pairs = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            same_cluster = labels[i] >= 0 and labels[i] == labels[j]
+            same_id = gt[i] == gt[j]
+            pred_pairs += same_cluster
+            gt_pairs += same_id
+            tp += same_cluster and same_id
+    precision = tp / pred_pairs if pred_pairs else 0.0
+    recall = tp / gt_pairs if gt_pairs else 0.0
+    f_score = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return correct / n, f_score, sum(label < 0 for label in labels) / n
+
+
 def sq_euclidean_dense_oracle(x: np.ndarray) -> np.ndarray:
     """The dense one-shot form of ``pairwise_sq_euclidean``, with the
     ``(D + D^T) / 2`` symmetrization it used to apply; on C-contiguous

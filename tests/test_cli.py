@@ -58,6 +58,12 @@ class TestParseConfig:
         cfg = parse_config(None)
         assert cfg.resolved == DEFAULT_CONFIG
 
+    def test_readme_config_block_lists_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("Config sections", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
+
     def test_flag_override_beats_file(self, tmp_path):
         path = write_config(tmp_path, {"refinement": {"beta": 0.5}})
         cfg = parse_config(path, {"refinement.beta": 0.9})

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import map_cmc_dense_oracle, map_cmc_oracle
+from oracles import label_quality_oracle, map_cmc_dense_oracle, map_cmc_oracle
 from pplr.core import NoValidQueryError
 from pplr.evaluate import average_precision, label_quality, map_cmc
 
@@ -194,3 +194,40 @@ class TestLabelQuality:
         )
         quality = label_quality(np.argmax(soft, axis=1), gt)
         assert quality.accuracy == 1.0
+
+
+def assert_label_quality_matches_oracle(labels, gt):
+    quality = label_quality(labels, gt)
+    got = (quality.accuracy, quality.pairwise_f, quality.outlier_fraction)
+    assert got == label_quality_oracle(labels, gt)
+
+
+class TestLabelQualityAgainstPairOracle:
+    """Every count is an integer, so the three scores equal the pair-loop
+    oracle's exactly."""
+
+    def test_random_labelings_with_outliers(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = rng.integers(-1, int(rng.integers(1, 7)), size=n)
+            gt = rng.integers(0, int(rng.integers(1, 8)), size=n)
+            assert_label_quality_matches_oracle(labels, gt)
+
+    def test_all_noise(self):
+        rng = np.random.default_rng(68)
+        for n in (1, 2, 9, 30):
+            gt = rng.integers(0, 4, size=n)
+            assert_label_quality_matches_oracle(np.full(n, -1), gt)
+
+    def test_non_contiguous_ids(self):
+        rng = np.random.default_rng(69)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            labels = rng.choice([-1, 3, 17, 250, 1000003], size=n)
+            gt = rng.choice([-5, 0, 8, 99, 2**40], size=n)
+            assert_label_quality_matches_oracle(labels, gt)
+
+    def test_one_sample(self):
+        for label in (-1, 0, 12):
+            assert_label_quality_matches_oracle(np.array([label]), np.array([4]))

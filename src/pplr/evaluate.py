@@ -84,9 +84,17 @@ def map_cmc(
     count across cameras; a query left without any positive is excluded
     and counted in ``n_excluded``.
 
+    AP and CMC read nothing after a query's last positive, so only the
+    kept entries at or below its farthest cross-camera positive distance
+    are ranked: taken in ascending gallery order and stable-sorted by
+    distance, they are the prefix of the full ranking up to that positive
+    (entries tied with it at a larger index sort after it and add only
+    trailing non-matches). Each query's AP is still computed on its own,
+    so mAP sums in the same order.
+
     Queries are ranked one block of rows at a time (see
     :func:`pplr.neighbors._row_blocks`): the call holds a block's distance
-    and order arrays, never a query x gallery matrix, and each block's
+    and mask arrays, never a query x gallery matrix, and each block's
     arrays are freed before the next block is ranked.
 
     Raises:
@@ -105,17 +113,22 @@ def map_cmc(
     sq_g = np.einsum("ij,ij->i", g, g)
 
     def relevance_rows(blk: slice) -> list:
-        """Per query of the block: the relevance of its ranked gallery,
-        same-identity same-camera entries removed."""
+        """Per query of the block: the relevance of its ranked gallery up to
+        its farthest cross-camera positive, same-identity same-camera
+        entries removed."""
         # Squared distances rank identically to Euclidean ones.
         dist = q[blk] @ g.T
         dist *= 2.0
         np.subtract(sq_q[blk, None] + sq_g, dist, out=dist)
-        order = np.argsort(dist, axis=1, kind="stable")
+        same_id = q_ids[blk, None] == g_ids
+        kept = ~(same_id & (q_cams[blk, None] == g_cams))
+        far = np.max(dist, axis=1, where=same_id & kept, initial=-np.inf)
+        kept &= dist <= far[:, None]
         rows = []
-        for i, ranked in zip(range(blk.start, blk.stop), order):
-            keep = ~((g_ids[ranked] == q_ids[i]) & (g_cams[ranked] == q_cams[i]))
-            rows.append((g_ids[ranked] == q_ids[i])[keep])
+        for row, candidates, relevant in zip(dist, kept, same_id):
+            ranked = np.flatnonzero(candidates)
+            ranked = ranked[np.argsort(row[ranked], kind="stable")]
+            rows.append(relevant[ranked])
         return rows
 
     aps = []

@@ -157,8 +157,9 @@ def read_feature_bank(path) -> FeatureBank:
     """Parse a feature-bank file, distinguishing each corruption mode.
 
     Raises:
-        DataFormatError: bad magic, unsupported version, truncated payload
-            or trailing bytes, each with a distinct message.
+        DataFormatError: bad magic, unsupported version, a header with no
+            part space or zero dimensions, truncated payload or trailing
+            bytes, each with a distinct message.
         NumericalError: the payload parses but contains non-finite values.
     """
     data = Path(path).read_bytes()
@@ -169,6 +170,10 @@ def read_feature_bank(path) -> FeatureBank:
         raise DataFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DataFormatError(f"unsupported version {version}")
+    if n_parts == 0:
+        raise DataFormatError("header declares 0 part feature spaces")
+    if dim == 0:
+        raise DataFormatError("header declares feature dimension 0")
     expected = _HEADER.size + _payload_size(n, dim, n_parts, flags)
     if len(data) < expected:
         raise DataFormatError(

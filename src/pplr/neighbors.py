@@ -1,12 +1,14 @@
 """Pairwise distances, exact top-k ranked lists, and the k-reciprocal
 Jaccard distance used as the clustering metric.
 
-Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` rows.
-A call holds its N x N float64 result and block-sized temporaries:
+Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` rows
+or in chunks of ``_CHUNK_TRIPLES`` gathered index triples. A call holds
+its N x N float64 result and block- or chunk-sized temporaries:
 :func:`pairwise_sq_euclidean` and :func:`topk_ranked_lists` one N x N
-matrix, :func:`k_reciprocal_jaccard` two (the normalized distance and the
-output), with its encoding kept sparse. Only the dense results stand in
-the way of larger banks.
+matrix; :func:`k_reciprocal_jaccard` one at ``blend_lambda == 0`` (the
+normalized distance is freed once the sparse encoding is built, before
+the output exists) and two otherwise. Only the dense results stand in the
+way of larger banks.
 
 The squared distances are ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` over one
 Gram matrix ``x @ x.T`` of C-contiguous features, which numpy computes as
@@ -34,7 +36,7 @@ matrix passed in from outside is still checked in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +47,11 @@ SYMMETRY_ATOL = 1e-6
 # Rows per block of the row-blocked passes: block temporaries stay at
 # _BLOCK_ROWS x N however large N grows.
 _BLOCK_ROWS = 256
+
+# Index triples per chunk of the chunked k-reciprocal passes (the set
+# expansion and the sum of minima): chunk temporaries stay under 1 MB
+# however large N grows. At N = 2400, chunks of 2^16 and more were slower.
+_CHUNK_TRIPLES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,19 +172,34 @@ def _reciprocal_pairs(rank: np.ndarray, depth: int) -> np.ndarray:
     return keys[np.isin(keys % n * n + keys // n, keys)]
 
 
+def _chunks(ends: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices over items whose costs have the running totals
+    ``ends``: each holds as many items as fit ``_CHUNK_TRIPLES``, and at
+    least one."""
+    start = 0
+    while start < ends.size:
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + _CHUNK_TRIPLES, side="right"))
+        stop = max(stop, start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
 def _expanded_sets(
     recip: np.ndarray, recip_half: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Each row's reciprocal set joined with every half-width set of a
     member q that has at least two thirds of its members in the row's set;
     from pair keys as in :func:`_reciprocal_pairs` to (rows, columns) in
-    row-major order, one boolean row block at a time."""
+    row-major order, one boolean block of rows at a time. A block holds as
+    many rows as fit ``_CHUNK_TRIPLES`` (row, member, candidate) triples."""
     h_rows, h_cols = np.divmod(recip_half, n)
     h_ptr = _pointers(h_rows, n)
     r_rows, r_cols = np.divmod(recip, n)
     r_ptr = _pointers(r_rows, n)
+    triples = np.concatenate(([0], np.cumsum(np.diff(h_ptr)[r_cols])))
     rows, cols = [], []
-    for blk in _row_blocks(n):
+    for blk in _chunks(triples[r_ptr[1:]]):
         span = slice(r_ptr[blk.start], r_ptr[blk.stop])
         local, qs = r_rows[span] - blk.start, r_cols[span]
         member = np.zeros((blk.stop - blk.start, n), dtype=bool)
@@ -238,25 +260,40 @@ def _query_expansion(
 
 
 def _sums_of_minima(expanded: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """Step 5's sums of minima, accumulated into a fresh N x N buffer one
-    column of V at a time, and the row sums passed through."""
+    """Step 5's sums of minima, accumulated into a fresh N x N buffer, and
+    the row sums passed through.
+
+    Column m of V adds ``min(V[i, m], V[j, m])`` at (i, j) for every pair of
+    rows in its support: the outer product of the column's weights. The
+    rows of all those outer products, taken in storage order (ascending
+    column, then ascending row), are cut into chunks of about
+    ``_CHUNK_TRIPLES`` (i, j, value) triples, and each chunk goes to one
+    ``np.add.at``. Within one column every key is distinct, so a pair still
+    receives its terms in ascending m, whatever the cut."""
     row_sums, col_ptr, col_rows, col_vals = expanded
     n = row_sums.size
     out = np.zeros((n, n), dtype=np.float64)
-    for m in range(n):
-        support = col_rows[col_ptr[m] : col_ptr[m + 1]]
-        if support.size:
-            weights = col_vals[col_ptr[m] : col_ptr[m + 1]]
-            np.add.at(out, np.ix_(support, support), np.minimum.outer(weights, weights))
+    flat = out.reshape(-1)
+    lengths = np.diff(col_ptr)
+    col_of = np.repeat(np.arange(n), lengths)  # the column of each stored entry
+    # An entry's row of its column's outer product holds as many triples
+    # as the column has entries.
+    for chunk in _chunks(np.cumsum(lengths[col_of])):
+        which, pos = _gather(col_ptr, col_of[chunk])
+        which += chunk.start
+        keys = col_rows[which] * n + col_rows[pos]
+        np.add.at(flat, keys, np.minimum(col_vals[which], col_vals[pos]))
     return out, row_sums
 
 
 def _jaccard_blend(
-    out: np.ndarray, row_sums: np.ndarray, dist: np.ndarray, blend_lambda: float
+    out: np.ndarray, row_sums: np.ndarray, dist: Optional[np.ndarray], blend_lambda: float
 ) -> None:
     """Steps 5-6 of :func:`k_reciprocal_jaccard` in place, one row block at
     a time: ``out`` holds the sums of minima on entry, the clipped blend
-    with a zero diagonal on exit."""
+    with a zero diagonal on exit. ``dist`` is None at ``blend_lambda == 0``,
+    where the blend is skipped: it would add +0.0 to values that are never
+    -0.0, which changes no bit."""
     n = out.shape[0]
     buffer = np.empty((min(_BLOCK_ROWS, n), n))
     for blk in _row_blocks(n):
@@ -268,9 +305,10 @@ def _jaccard_blend(
         with np.errstate(invalid="ignore"):
             np.divide(rows, scratch, out=rows)
         np.subtract(1.0, rows, out=rows)
-        rows *= 1.0 - blend_lambda
-        np.multiply(dist[blk], blend_lambda, out=scratch)
-        rows += scratch
+        if dist is not None:
+            rows *= 1.0 - blend_lambda
+            np.multiply(dist[blk], blend_lambda, out=scratch)
+            rows += scratch
     np.clip(out, 0.0, 1.0, out=out)
     np.fill_diagonal(out, 0.0)
 
@@ -302,21 +340,27 @@ def k_reciprocal_jaccard(
     index, and with duplicate rows a sample's own index need not come
     first. Every later step reads only that prefix.
 
-    Memory: two N x N float64 matrices, the normalized distance and the
-    output. The sets of steps 1-2 are sorted pair keys, and V is held as
-    per-row (index, weight) arrays. Step 4 and the row sums run on one
-    dense row block of V at a time: a running sum over the k2 ranked rows,
-    one division by k2, then a pairwise row sum over all N columns, the
-    bits of ``v.sum(axis=1)`` over the dense matrix.
+    Memory: the normalized distance (normalized in place) lives until V
+    is built; at ``blend_lambda == 0`` it is then freed, since the blend
+    would only add +0.0, so the output is the one N x N float64 matrix
+    from there on; otherwise both live to the end. The sets of steps 1-2
+    are sorted pair keys, expanded a chunk of rows at a time, and V is
+    held as per-row (index, weight) arrays. Step 4 and the row sums run on
+    one dense row block of V at a time: a running sum over the k2 ranked
+    rows, one division by k2, then a pairwise row sum over all N columns,
+    the bits of ``v.sum(axis=1)`` over the dense matrix.
 
-    The sum of minima in step 5 is accumulated into the output buffer one
-    column m of V at a time (read from a column-major copy of V), over the
-    pairs of rows in that column's support. A pair (i, j) thus receives its
-    terms in ascending m, the order of a per-pair sum over m, so the result
-    does not depend on how the work is batched. Each row block of the
-    buffer then becomes the Jaccard distance, the blend and the clip in
-    place. Every term is symmetric in (i, j), so the result is exactly
-    symmetric and needs no ``(D + D^T) / 2``.
+    The sum of minima in step 5 is accumulated into the output buffer from
+    a column-major copy of V: column m adds the outer product of minima of
+    its weights over the pairs of rows in its support. The rows of those
+    outer products, in ascending column order, go to ``np.add.at`` in
+    chunks of about ``_CHUNK_TRIPLES`` (i, j, value) triples, one call per
+    chunk. A pair (i, j) thus receives its terms in ascending m, the order
+    of a per-pair sum over m, so the result does not depend on where the
+    chunks are cut. Each row block of the buffer then becomes the Jaccard
+    distance, the blend and the clip in place. Every term is symmetric in
+    (i, j), so the result is exactly symmetric and needs no
+    ``(D + D^T) / 2``.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
@@ -328,13 +372,19 @@ def k_reciprocal_jaccard(
         raise ValueError("blend_lambda must lie in [0, 1]")
 
     dist = pairwise_sq_euclidean(x).values
+    # The matrix is this call's own (pairwise_sq_euclidean keeps no
+    # reference), so it is normalized in place.
+    dist.flags.writeable = True
     dmax = dist.max()
     if dmax > 0:
-        dist = dist / dmax  # the unnormalized matrix is released here
+        dist /= dmax
     rank = np.empty((n, k1 + 1), dtype=np.intp)
     for blk in _row_blocks(n):
         rank[blk] = _stable_topk(dist[blk], k1 + 1)
-    # Nested, so that each stage's arrays are freed before the output exists.
-    out, row_sums = _sums_of_minima(_query_expansion(_encoding(dist, rank, k1), rank, k2))
+    encoding = _encoding(dist, rank, k1)
+    if blend_lambda == 0.0:
+        dist = None  # the blend would add +0.0; freed before the output exists
+    # Nested, so that the expanded V is freed after the sums of minima.
+    out, row_sums = _sums_of_minima(_query_expansion(encoding, rank, k2))
     _jaccard_blend(out, row_sums, dist, blend_lambda)
     return DistanceMatrix._trusted(out)

@@ -286,6 +286,20 @@ class TestExitCodes:
         path.write_bytes(b"XXXXsomethingelse" + b"\x00" * 30)
         assert main(["cluster", "--bank", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "n_parts, dim", [(0, 4), (1, 0)], ids=["no-parts", "zero-dim"]
+    )
+    def test_empty_header_shape_is_3(self, tmp_path, capsys, n_parts, dim):
+        # A header may declare shapes that no bank can have: a malformed
+        # file (3), not a numerical error (4).
+        from pplr.ingest import _HEADER, MAGIC, VERSION
+
+        path = tmp_path / "empty.pplb"
+        header = _HEADER.pack(MAGIC, VERSION, 6, dim, n_parts, 0)
+        path.write_bytes(header + bytes((1 + n_parts) * 6 * dim * 4))
+        assert main(["cluster", "--bank", str(path)]) == 3
+        assert "numerical error" not in capsys.readouterr().err
+
     def test_numerical_error_is_4(self, tmp_path):
         # A zero feature row is valid on disk but cannot be normalized.
         from pplr.core import FeatureBank

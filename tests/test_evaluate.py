@@ -139,6 +139,68 @@ class TestMapCmcAcrossRowBlocks:
         assert_same_as_dense(feats[:40], feats[10:], ids[:40], ids[10:], cams[:40], cams[10:])
 
 
+def designed_instance(n_query=20):
+    """Queries on a line, 100 apart, camera 0, identity i; each owns five
+    gallery rows at exact integer distances. Squared distance 1: a
+    cross-camera positive and a same-camera one (removed as junk).
+    Squared distance 4, in gallery order: another identity, the farthest
+    positive, another identity. The query's own point, under another
+    identity, sits at distance 0."""
+    q = np.stack([100.0 * np.arange(n_query), np.zeros(n_query)], axis=1)
+    offsets = [(1, 0), (0, 1), (0, 2), (2, 0), (-2, 0), (0, 0)]
+    g = (q[:, None, :] + np.array(offsets, dtype=float)).reshape(-1, 2)
+    q_ids = np.arange(n_query)
+    other = n_query + q_ids
+    g_ids = np.stack([q_ids, q_ids, other, q_ids, other + n_query, other], axis=1).ravel()
+    g_cams = np.tile([1, 0, 0, 1, 1, 2], n_query)
+    return q, g, q_ids, g_ids, np.zeros(n_query, dtype=np.int64), g_cams
+
+
+class TestMapCmcEdgeCases:
+    """Ranking stops at each query's farthest cross-camera positive; these
+    banks put ties, exclusions and duplicates at that boundary. Each is
+    compared exactly with the dense single-argsort form, on 9-row query
+    blocks (``small_blocks``; 20 queries: 3 blocks, the last ragged)."""
+
+    def test_ties_with_the_farthest_positive(self, small_blocks):
+        inst = designed_instance()
+        assert_same_as_dense(*inst)
+        # Kept ranking: duplicate (other id), positive, then at distance 4
+        # other id, farthest positive, other id: AP = (1/2 + 2/4) / 2.
+        result = map_cmc(*inst)
+        assert result.map == pytest.approx(0.5)
+        assert result.cmc == {1: 0.0, 5: 1.0, 10: 1.0}
+
+    def test_queries_without_positive_share_blocks_with_valid_ones(self, small_blocks):
+        q, g, q_ids, g_ids, q_cams, g_cams = designed_instance()
+        g_cams = g_cams.reshape(-1, 6)
+        g_cams[[2, 9, 10, 19], 0] = 0  # positive at distance 1 becomes junk
+        g_cams[[2, 9, 10, 19], 3] = 0  # and the one at distance 4
+        g_ids = g_ids.reshape(-1, 6)
+        g_ids[[5, 13], 0] = 99  # these keep only the farthest positive
+        inst = (q, g, q_ids, g_ids.ravel(), q_cams, g_cams.ravel())
+        assert_same_as_dense(*inst)
+        assert map_cmc(*inst).n_excluded == 4
+
+    def test_duplicate_of_the_query_under_another_identity(self, small_blocks):
+        # Every query is also a gallery row of another identity, and
+        # another row of the same identity and camera (junk) duplicates it.
+        q, g, q_ids, g_ids, q_cams, g_cams = designed_instance()
+        g = np.vstack([q, q, g])
+        g_ids = np.concatenate([q_ids + 1000, q_ids, g_ids])
+        g_cams = np.concatenate([np.ones_like(q_cams), q_cams, g_cams])
+        assert_same_as_dense(q, g, q_ids, g_ids, q_cams, g_cams)
+
+    def test_more_queries_than_gallery_rows(self, small_blocks):
+        # Integer grid points: many exact ties, also at the farthest positive.
+        rng = np.random.default_rng(70)
+        q = rng.integers(0, 4, size=(40, 2)).astype(np.float64)
+        g = rng.integers(0, 4, size=(25, 2)).astype(np.float64)
+        inst = (q, g, rng.integers(0, 5, 40), rng.integers(0, 5, 25),
+                rng.integers(0, 3, 40), rng.integers(0, 3, 25))
+        assert_same_as_dense(*inst)
+
+
 def test_map_cmc_allocates_less_than_one_distance_matrix():
     rng = np.random.default_rng(66)
     n = 640

@@ -6,6 +6,9 @@ import pytest
 from pplr.cluster import DbscanParams, dbscan
 from pplr.core import DataFormatError, FeatureBank, NumericalError, l2_normalize
 from pplr.ingest import (
+    _HEADER,
+    MAGIC,
+    VERSION,
     SynthConfig,
     generate_synthetic_bank,
     load_sample_ids,
@@ -81,6 +84,19 @@ class TestFileFormat:
         write_feature_bank(tiny_bank(), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(DataFormatError, match="trailing"):
+            read_feature_bank(path)
+
+    @pytest.mark.parametrize(
+        "n_parts, dim, message",
+        [(0, 2, "0 part feature spaces"), (1, 0, "feature dimension 0")],
+        ids=["no-parts", "zero-dim"],
+    )
+    def test_empty_header_shapes(self, tmp_path, n_parts, dim, message):
+        # A zero payload of the size that the header declares.
+        path = tmp_path / "bank.pplb"
+        header = _HEADER.pack(MAGIC, VERSION, 6, dim, n_parts, 0)
+        path.write_bytes(header + bytes((1 + n_parts) * 6 * dim * 4))
+        with pytest.raises(DataFormatError, match=message):
             read_feature_bank(path)
 
     def test_nan_bank_cannot_reach_disk(self, tmp_path):

@@ -12,6 +12,7 @@ from oracles import (
     pairwise_sq_oracle,
     sq_euclidean_dense_oracle,
 )
+from pplr import neighbors
 from pplr.core import NumericalError, l2_normalize
 from pplr.ingest import SynthConfig, generate_synthetic_bank
 from pplr.neighbors import (
@@ -275,9 +276,10 @@ class TestKReciprocalJaccard:
 
 
 class TestAcrossRowBlocks:
-    """The exact checks rerun with 9-row blocks (the ``small_blocks``
-    fixture). Bank sizes 30, 35, 40 (k-reciprocal), 41, 60, 300 (top-k) and
-    those below each span at least 3 blocks and end on a ragged one."""
+    """The exact checks rerun with 9-row blocks and 40-triple chunks (the
+    ``small_blocks`` fixture). Bank sizes 30, 35, 40 (k-reciprocal), 41,
+    60, 300 (top-k) and those below each span at least 3 blocks and end on
+    a ragged one."""
 
     def test_pairwise_matches_dense_form(self, small_blocks):
         rng = np.random.default_rng(19)
@@ -292,6 +294,51 @@ class TestAcrossRowBlocks:
 
     def test_k_reciprocal_bit_exact_against_loop_oracle(self, small_blocks):
         TestKReciprocalJaccard().test_bit_exact_against_loop_oracle()
+
+
+def sums_of_minima_by_column(col_ptr, col_rows, col_vals, n):
+    """The per-column form of the sum of minima: one ``np.add.at`` of a
+    column's outer product of minima at a time, in ascending column order."""
+    out = np.zeros((n, n))
+    for m in range(n):
+        support = col_rows[col_ptr[m] : col_ptr[m + 1]]
+        weights = col_vals[col_ptr[m] : col_ptr[m + 1]]
+        np.add.at(out, np.ix_(support, support), np.minimum.outer(weights, weights))
+    return out
+
+
+class TestAcrossChunks:
+    """The chunked passes at other triple budgets: 1 (every chunk one row of
+    one column's outer product, every expansion block one row), 37 (chunks
+    that start and end inside a column's support and also span several
+    small columns) and one chunk for the whole bank."""
+
+    BUDGETS = pytest.mark.parametrize(
+        "budget", [1, 37, 1 << 40], ids=["one-row", "mid-column", "one-chunk"]
+    )
+
+    @BUDGETS
+    def test_k_reciprocal_bit_exact_against_loop_oracle(self, monkeypatch, budget):
+        monkeypatch.setattr(neighbors, "_CHUNK_TRIPLES", budget)
+        TestKReciprocalJaccard().test_bit_exact_against_loop_oracle()
+
+    @BUDGETS
+    def test_sums_of_minima_equal_the_per_column_form(self, monkeypatch, budget):
+        # Column supports of 0 to 30 rows, so that 37 cuts inside large
+        # columns and groups small ones; weights from a few values, so
+        # that minima tie.
+        monkeypatch.setattr(neighbors, "_CHUNK_TRIPLES", budget)
+        rng = np.random.default_rng(21)
+        n = 40
+        lengths = rng.integers(0, 31, size=n)
+        lengths[[3, 4, 17]] = 0
+        col_ptr = np.concatenate(([0], np.cumsum(lengths)))
+        col_rows = np.concatenate([np.sort(rng.choice(n, size=s, replace=False)) for s in lengths])
+        col_vals = rng.choice([0.1, 0.25, 1 / 3, 0.7], size=col_rows.size) * rng.uniform(0.5, 1.5)
+        row_sums = rng.uniform(size=n)
+        out, sums = neighbors._sums_of_minima((row_sums, col_ptr, col_rows, col_vals))
+        assert sums is row_sums
+        assert np.array_equal(out, sums_of_minima_by_column(col_ptr, col_rows, col_vals, n))
 
 
 def test_strided_features_give_an_exactly_symmetric_matrix():
@@ -316,12 +363,15 @@ def traced_peak(fn, *args):
 
 def test_memory_stays_within_a_few_n_by_n_matrices():
     # The synthetic bank with 32 identities: N = 640. k_reciprocal_jaccard
-    # holds the normalized distance and its output plus row-block and
-    # sparse-encoding temporaries; the dense form held about 11 matrices.
+    # holds the normalized distance until the encoding is built and, at
+    # lambda = 0, frees it before the output exists; at lambda > 0 both
+    # live to the end. Add row-block, chunk and sparse-encoding
+    # temporaries; the dense form held about 11 matrices.
     x = l2_normalize(generate_synthetic_bank(SynthConfig(seed=7, n_identities=32)).global_feats)
     matrix = x.shape[0] ** 2 * 8
     dist = pairwise_sq_euclidean(x)
     k_reciprocal_jaccard(x)  # first call: numpy imports helper modules once
-    assert traced_peak(k_reciprocal_jaccard, x) <= 3 * matrix
+    assert traced_peak(k_reciprocal_jaccard, x, 30, 6, 0.0) <= 2 * matrix
+    assert traced_peak(k_reciprocal_jaccard, x, 30, 6, 0.5) <= 3 * matrix
     assert traced_peak(pairwise_sq_euclidean, x) <= 1.5 * matrix
     assert traced_peak(topk_ranked_lists, dist, 20, "global") <= 1.5 * matrix

@@ -8,6 +8,7 @@ Binary layout (little-endian):
     dim     u32      feature dimensionality
     n_parts u16
     flags   u16      bit0 = camera ids present, bit1 = gt ids present
+                     (any other bit set: DataFormatError)
     global  N*dim f32, row-major
     parts   n_parts blocks of N*dim f32
     cams    N u16    (iff bit0)
@@ -33,6 +34,7 @@ MAGIC = b"PPLB"
 VERSION = 1
 FLAG_CAMERA_IDS = 1
 FLAG_GT_IDS = 2
+_KNOWN_FLAGS = FLAG_CAMERA_IDS | FLAG_GT_IDS
 
 _HEADER = struct.Struct("<4sIIIHH")
 
@@ -157,9 +159,10 @@ def read_feature_bank(path) -> FeatureBank:
     """Parse a feature-bank file, distinguishing each corruption mode.
 
     Raises:
-        DataFormatError: bad magic, unsupported version, a header with no
-            part space or zero dimensions, truncated payload or trailing
-            bytes, each with a distinct message.
+        DataFormatError: bad magic, unsupported version, flag bits that
+            version 1 does not define, a header with no part space or zero
+            dimensions, truncated payload or trailing bytes, each with a
+            distinct message.
         NumericalError: the payload parses but contains non-finite values.
     """
     data = Path(path).read_bytes()
@@ -170,6 +173,8 @@ def read_feature_bank(path) -> FeatureBank:
         raise DataFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise DataFormatError(f"unsupported version {version}")
+    if flags & ~_KNOWN_FLAGS:
+        raise DataFormatError(f"unknown header flag bits {flags & ~_KNOWN_FLAGS:#06x}")
     if n_parts == 0:
         raise DataFormatError("header declares 0 part feature spaces")
     if dim == 0:

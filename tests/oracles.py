@@ -7,6 +7,7 @@ the package so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -471,3 +472,18 @@ def aals_loss_oracle(label: int, alpha: float, log_q) -> float:
     hard = -float(log_q[label])
     kl_uniform = -math.log(k) - sum(float(lq) for lq in log_q) / k
     return alpha * hard + (1.0 - alpha) * kl_uniform
+
+
+def refine_lines_oracle(n: int, clustered, pglr, aals_by_part) -> str:
+    """The ``pplr refine`` output as one string: a record per sample, each
+    written by ``json.dumps`` from Python lists, with nulls for a sample in
+    no cluster. ``pglr[row]`` and ``aals_by_part[p][row]`` are the targets
+    of sample ``clustered[row]``."""
+    records = [{"index": i, "pglr": None, "aals": None} for i in range(n)]
+    for row, i in enumerate(clustered):
+        records[int(i)] = {
+            "index": int(i),
+            "pglr": pglr[row].tolist(),
+            "aals": [part[row].tolist() for part in aals_by_part],
+        }
+    return "\n".join(json.dumps(r) for r in records) + "\n"

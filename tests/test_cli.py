@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pplr.cli import DEFAULT_CONFIG, main, parse_config
-from pplr.core import ConfigError
+from oracles import refine_lines_oracle
+from pplr.cli import DEFAULT_CONFIG, _json_floats, _refined_targets, main, parse_config
+from pplr.core import ConfigError, NumericalError, normalize_bank
+from pplr.ingest import read_feature_bank
 
 
 def write_config(tmp_path, content, name="config.json"):
@@ -205,6 +207,74 @@ class TestCliCommands:
         assert first.read_bytes() == second.read_bytes()
 
 
+def test_json_floats_are_what_json_dumps_writes():
+    # Cells whose texts are easy to get wrong: signed zeros, NaNs of both
+    # signs and another payload, infinities, the smallest subnormal, both
+    # sides of repr's switches to exponent notation, and neighbours one ulp
+    # apart. Repeats make many cells share one table entry.
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    values = [
+        0.0, -0.0, np.nan, -np.nan, nan_payload, np.inf, -np.inf,
+        5e-324, -5e-324, np.finfo(np.float64).max, np.finfo(np.float64).tiny,
+        1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+        1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+        0.1, np.nextafter(0.1, 1.0), 1.0 / 3.0,
+    ]
+    values = np.array(values * 3, dtype=np.float64).reshape(3, 7, 3)
+    texts = _json_floats(values)
+    assert texts.shape == values.shape
+    for index in np.ndindex(values.shape):
+        assert texts[index] == json.dumps(float(values[index])), index
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize(
+        "eps", [None, 1e-9, 5.0], ids=["small-bank", "all-noise", "one-cluster"]
+    )
+    def test_refine_bytes_match_the_json_dumps_form(self, tmp_path, capsys, small_bank, eps):
+        config, bank = small_bank
+        flags = [] if eps is None else ["--eps", repr(eps)]
+        out = tmp_path / "refine.jsonl"
+        assert main(["refine", "--config", config, "--bank", bank, "--out", str(out), *flags]) == 0
+        assert main(["refine", "--config", config, "--bank", bank, *flags]) == 0
+        feats = normalize_bank(read_feature_bank(bank))
+        cfg = parse_config(config, {} if eps is None else {"dbscan.eps": eps})
+        clustered, targets = _refined_targets(feats, cfg)
+        n_parts = targets.shape[1] - 1
+        expected = refine_lines_oracle(
+            feats.n_samples, clustered, targets[:, 0], [targets[:, 1 + p] for p in range(n_parts)]
+        )
+        assert out.read_text("utf-8") == expected
+        assert capsys.readouterr().out == expected
+        k = {None: None, 1e-9: 0, 5.0: 1}[eps]
+        if k is not None:
+            assert targets.shape[2] == k
+            assert len(clustered) == (0 if k == 0 else feats.n_samples)
+
+    @pytest.mark.parametrize("command", ["cluster", "agree", "eval"])
+    def test_stdout_and_file_carry_json_dumps_lines(self, tmp_path, capsys, small_bank, command):
+        config, bank = small_bank
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--config", config, "--bank", bank, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main([command, "--config", config, "--bank", bank]) == 0
+        text = out.read_text("utf-8")
+        assert capsys.readouterr().out == text
+        lines = text.split("\n")
+        assert lines.pop() == ""
+        assert all(json.dumps(json.loads(line)) == line for line in lines)
+
+    def test_failed_refine_leaves_no_file(self, tmp_path, small_bank, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("injected")
+
+        config, bank = small_bank
+        monkeypatch.setattr("pplr.cli.pglr_targets", fail)
+        out = tmp_path / "refine.jsonl"
+        assert main(["refine", "--config", config, "--bank", bank, "--out", str(out)]) == 4
+        assert not out.exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this command must not compute this")
 
@@ -299,6 +369,19 @@ class TestExitCodes:
         path.write_bytes(header + bytes((1 + n_parts) * 6 * dim * 4))
         assert main(["cluster", "--bank", str(path)]) == 3
         assert "numerical error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "agree", "refine", "eval", "pipeline"])
+    def test_unknown_flag_bit_is_3(self, tmp_path, capsys, command):
+        bank = tmp_path / "bank.pplb"
+        assert main(["simgen", "--n-identities", "3", "--samples-per-identity", "4",
+                     "--out", str(bank)]) == 0
+        data = bytearray(bank.read_bytes())
+        data[18] |= 1 << 2
+        bank.write_bytes(bytes(data))
+        out = tmp_path / "out.jsonl"
+        assert main([command, "--bank", str(bank), "--out", str(out), "--epochs", "1"]) == 3
+        assert "unknown header flag bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_error_is_4(self, tmp_path):
         # A zero feature row is valid on disk but cannot be normalized.

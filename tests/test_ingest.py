@@ -72,6 +72,19 @@ class TestFileFormat:
         with pytest.raises(DataFormatError, match="unsupported version"):
             read_feature_bank(path)
 
+    @pytest.mark.parametrize("bit", [2, 3, 15])
+    def test_unknown_flag_bit(self, tmp_path, bit):
+        # Version 1 defines bit 0 (camera ids) and bit 1 (gt ids) only;
+        # another bit changes no payload size, so only the check sees it.
+        path = tmp_path / "bank.pplb"
+        write_feature_bank(tiny_bank(), path)
+        data = bytearray(path.read_bytes())
+        flags = int.from_bytes(data[18:20], "little") | (1 << bit)
+        data[18:20] = flags.to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=f"unknown header flag bits {1 << bit:#06x}"):
+            read_feature_bank(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bank.pplb"
         write_feature_bank(tiny_bank(), path)

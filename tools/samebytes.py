@@ -7,9 +7,11 @@ tree of this checkout is used) and runs one fixed matrix of pplr commands
 under each tree, with one BLAS thread. For every bank of the matrix it
 writes the bank with ``pplr simgen``, then runs ``cluster``, ``agree``,
 ``refine``, ``eval``, ``train`` and ``pipeline`` (plain,
-``--constant-alpha 0.7`` and ``--mode baseline``). It compares the SHA-256
-of every file written, bank, outputs and models, and prints each file that
-differs with its two digests.
+``--constant-alpha 0.7`` and ``--mode baseline``), and ``cluster``,
+``agree``, ``refine`` and ``eval`` once more without ``--out``, saving what
+they print to stdout. It compares the SHA-256 of every file written, bank,
+outputs, saved stdout and models, and prints each file that differs with
+its two digests.
 
 Exit status: 0 when every file and every command exit code match, 1 when
 something differs, 2 when a revision cannot be exported.
@@ -76,11 +78,22 @@ COMMANDS = [
     ("pipeline-baseline", "pipeline", ["--mode", "baseline"]),
 ]
 
-# Runs a list of pplr argv lists in one interpreter and prints their exit codes.
+# Commands that also run without --out; their stdout is saved as <command>-stdout.jsonl.
+STDOUT_COMMANDS = ("cluster", "agree", "refine", "eval")
+
+# Runs a list of [pplr argv, stdout path or null] pairs in one interpreter
+# and prints their exit codes.
 _RUNNER = """
-import json, sys
+import contextlib, json, sys
 from pplr.cli import main
-print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+
+def run(argv, stdout_path):
+    if stdout_path is None:
+        return main(argv)
+    with open(stdout_path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        return main(argv)
+
+print(json.dumps([run(argv, stdout_path) for argv, stdout_path in json.loads(sys.argv[1])]))
 """
 
 
@@ -91,20 +104,26 @@ def write_configs(config_dir: Path, banks) -> None:
 
 
 def matrix(config_dir: Path, out: Path, banks) -> list:
-    """(label, argv) of every command of the matrix, writing under ``out``."""
+    """(label, argv, stdout path or None) of every command of the matrix,
+    writing under ``out``."""
     runs = []
     for name in banks:
         bank_out = out / name
         bank_out.mkdir(parents=True)
         config = config_dir / f"{name}.json"
         bank = bank_out / "bank.pplb"
-        runs.append((f"{name}/simgen", ["simgen", "--config", str(config), "--out", str(bank)]))
+        simgen = ["simgen", "--config", str(config), "--out", str(bank)]
+        runs.append((f"{name}/simgen", simgen, None))
         for stem, command, flags in COMMANDS:
             argv = [command, "--config", str(config), "--bank", str(bank),
                     "--out", str(bank_out / f"{stem}.jsonl"), *flags]
             if command in ("train", "pipeline"):
                 argv += ["--model-out", str(bank_out / f"{stem}.pplm")]
-            runs.append((f"{name}/{stem}", argv))
+            runs.append((f"{name}/{stem}", argv, None))
+        for command in STDOUT_COMMANDS:
+            argv = [command, "--config", str(config), "--bank", str(bank)]
+            stdout = str(bank_out / f"{command}-stdout.jsonl")
+            runs.append((f"{name}/{command}-stdout", argv, stdout))
     return runs
 
 
@@ -122,13 +141,14 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def start(tree: Path, argvs: list, cwd: Path) -> subprocess.Popen:
-    """Run ``argvs`` with the pplr of ``tree`` in one child process."""
+def start(tree: Path, runs: list, cwd: Path) -> subprocess.Popen:
+    """Run ``runs``, [argv, stdout path or None] pairs, with the pplr of
+    ``tree`` in one child process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     return subprocess.Popen(
-        [sys.executable, "-c", _RUNNER, json.dumps(argvs)], env=env, cwd=cwd,
+        [sys.executable, "-c", _RUNNER, json.dumps(runs)], env=env, cwd=cwd,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 
@@ -164,7 +184,7 @@ def main(argv=None) -> int:
         write_configs(tmp / "configs", banks)
         runs = {side: matrix(tmp / "configs", tmp / side, banks) for side in trees}
         procs = {
-            side: start(tree, [argv for _, argv in runs[side]], tmp / side)
+            side: start(tree, [[argv, stdout] for _, argv, stdout in runs[side]], tmp / side)
             for side, tree in trees.items()
         }
         outputs = {side: proc.communicate() for side, proc in procs.items()}
@@ -176,7 +196,7 @@ def main(argv=None) -> int:
         head_digests = digests(tmp / "head")
         differ = compare(digests(tmp / "base"), head_digests)
 
-    labels = [label for label, _ in runs["head"]]
+    labels = [label for label, _, _ in runs["head"]]
     codes_differ = False
     for label, base_code, head_code in zip(labels, codes["base"], codes["head"]):
         if base_code != head_code:

@@ -45,11 +45,10 @@ print(f"occluded slots: {changed} (expected {round(0.2 * 150 * 3)})")
 # Round-trip through the binary format is bit-exact.
 with tempfile.TemporaryDirectory() as tmp:
     path = pathlib.Path(tmp) / "demo.pplb"
-    write_feature_bank(bank, path, sample_ids=[f"img_{i:04d}" for i in range(bank.n_samples)])
+    write_feature_bank(bank, path)
     back = read_feature_bank(path)
     print(f"file size: {path.stat().st_size} bytes")
     print("round-trip bit-exact:", np.array_equal(back.global_feats, bank.global_feats))
-    print("sidecar written:", (pathlib.Path(tmp) / "demo.pplb.meta.jsonl").exists())
 
 # Per-part occlusion fractions support single-part corruption experiments.
 one_dead_part = generate_synthetic_bank(

@@ -50,7 +50,7 @@ print(f"\ntriplet loss = {value:.4f} (skipped anchors without pos/neg: {skipped}
 rng = np.random.default_rng(8)
 bank_feats = rng.standard_normal((12, 4))
 bank_feats /= np.linalg.norm(bank_feats, axis=1, keepdims=True)
-pseudo = PseudoLabels(labels=np.repeat([0, 1, 2], 4), k_clusters=3)
+pseudo = PseudoLabels(labels=np.repeat([0, 1, 2], 4))
 cams = np.tile([0, 1], 6)
 proxies = build_camera_proxies(bank_feats, pseudo, cams)
 print(f"proxies: {proxies.n_proxies} for 3 clusters x 2 cameras")

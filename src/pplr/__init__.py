@@ -31,7 +31,6 @@ from .evaluate import (
 from .ingest import (
     SynthConfig,
     generate_synthetic_bank,
-    load_sample_ids,
     read_feature_bank,
     write_feature_bank,
 )

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -94,12 +95,10 @@ def _check_value(path: str, value, prototype) -> None:
             ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
         if not ok:
             raise ConfigError(f"{path}: expected number or list of numbers")
-        return
-    if value is None:
-        if prototype is None:
-            return
-        raise ConfigError(f"{path}: null is not allowed")
-    if isinstance(prototype, bool):
+    elif value is None:
+        if prototype is not None:
+            raise ConfigError(f"{path}: null is not allowed")
+    elif isinstance(prototype, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected bool, got {type(value).__name__}")
     elif isinstance(prototype, int):
@@ -118,6 +117,11 @@ def _check_value(path: str, value, prototype) -> None:
             raise ConfigError(f"{path}: expected string or null")
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected number or null")
+    # A float flag parses "nan" and "inf", and JSON has NaN and Infinity;
+    # no key takes a non-finite number.
+    for number in value if isinstance(value, list) else [value]:
+        if isinstance(number, float) and not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {number!r}")
 
 
 def _merge(document: dict) -> dict:
@@ -150,12 +154,16 @@ def parse_config(
     """Defaults, then the config file, then flag overrides; validated.
 
     ``overrides`` maps dotted key paths (e.g. ``refinement.beta``) to
-    values. Unknown keys, type mismatches, and constraint violations raise
-    :class:`ConfigError` naming the offending key path.
+    values. Unknown keys, type mismatches, non-finite numbers and
+    constraint violations raise :class:`ConfigError` naming the offending
+    key path, as does a config file that is not UTF-8 JSON.
     """
     document: dict = {}
     if config_path is not None:
-        text = Path(config_path).read_text("utf-8")
+        try:
+            text = Path(config_path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from exc
         if text.strip():
             try:
                 document = json.loads(text)

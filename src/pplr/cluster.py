@@ -66,7 +66,7 @@ def dbscan(dist: DistanceMatrix, params: DbscanParams) -> PseudoLabels:
         if claimants.size:
             labels[j] = labels[claimants[0]]
 
-    return PseudoLabels(labels=_renumber(labels), k_clusters=next_id)
+    return PseudoLabels(labels=_renumber(labels))
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ to the next without copying it. All validation happens in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -155,10 +155,14 @@ def normalize_bank(bank: FeatureBank) -> FeatureBank:
 
 @dataclass(frozen=True, eq=False)
 class PseudoLabels:
-    """Hard cluster assignment per sample; -1 marks outliers."""
+    """Hard cluster assignment per sample; -1 marks outliers.
+
+    The cluster count ``k_clusters`` is derived from the labels, once, at
+    construction: the labels must cover 0..K-1 with no gap.
+    """
 
     labels: np.ndarray
-    k_clusters: int
+    k_clusters: int = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.labels)
@@ -168,14 +172,12 @@ class PseudoLabels:
         if arr.size and arr.min() < -1:
             raise ValueError("labels below -1 are not allowed")
         present = np.unique(arr[arr >= 0])
-        if present.size != self.k_clusters or (
-            present.size and not np.array_equal(present, np.arange(self.k_clusters))
-        ):
+        if not np.array_equal(present, np.arange(present.size)):
             raise ValueError(
-                f"labels must cover 0..{self.k_clusters - 1} exactly; "
-                f"found clusters {present.tolist()}"
+                f"labels must cover 0..K-1 with no gap; found clusters {present.tolist()}"
             )
         object.__setattr__(self, "labels", _frozen(arr))
+        object.__setattr__(self, "k_clusters", int(present.size))
 
     @property
     def n_samples(self) -> int:
@@ -197,11 +199,10 @@ class RankedLists:
     """Top-k neighbor indices per sample for one feature space.
 
     Row i holds the k nearest neighbors of sample i (self excluded),
-    ascending by distance with ties broken by smaller index.
+    ascending by distance with ties broken by smaller index; k is the
+    number of columns.
     """
 
-    space_id: str
-    k: int
     lists: np.ndarray
 
     def __post_init__(self) -> None:
@@ -209,8 +210,6 @@ class RankedLists:
         if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("lists must be a 2-D integer matrix")
         n, k = arr.shape
-        if k != self.k:
-            raise ValueError(f"declared k={self.k} but lists have {k} columns")
         if k < 1:
             raise ValueError("ranked lists need k >= 1")
         if arr.size:
@@ -226,6 +225,10 @@ class RankedLists:
     @property
     def n_samples(self) -> int:
         return self.lists.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.lists.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ DEFAULT_RANKS = (1, 5, 10)
 
 @dataclass(frozen=True, eq=False)
 class RetrievalResult:
-    """mAP plus CMC at the requested ranks, over the valid queries."""
+    """mAP plus CMC at each rank keyed in ``cmc``, over the valid queries."""
 
     map: float
     cmc: Dict[int, float]
@@ -74,9 +74,8 @@ def map_cmc(
     gallery_ids: np.ndarray,
     query_cams: np.ndarray,
     gallery_cams: np.ndarray,
-    ranks: Tuple[int, ...] = DEFAULT_RANKS,
 ) -> RetrievalResult:
-    """Cross-camera retrieval evaluation.
+    """Cross-camera retrieval evaluation: mAP and CMC at ``DEFAULT_RANKS``.
 
     Galleries are ranked by ascending Euclidean distance (ties broken by
     gallery index). For each query, gallery entries sharing both its
@@ -132,7 +131,7 @@ def map_cmc(
         return rows
 
     aps = []
-    cmc_hits = {r: 0 for r in ranks}
+    cmc_hits = {r: 0 for r in DEFAULT_RANKS}
     n_excluded = 0
     for blk in _row_blocks(q.shape[0]):
         for relevance in relevance_rows(blk):
@@ -141,7 +140,7 @@ def map_cmc(
                 continue
             aps.append(average_precision(relevance))
             first_hit = int(np.flatnonzero(relevance)[0])
-            for r in ranks:
+            for r in DEFAULT_RANKS:
                 if first_hit < r:
                     cmc_hits[r] += 1
     n_valid = len(aps)
@@ -149,7 +148,7 @@ def map_cmc(
         raise NoValidQueryError("no query has a valid cross-camera positive")
     return RetrievalResult(
         map=float(np.mean(aps)),
-        cmc={r: cmc_hits[r] / n_valid for r in ranks},
+        cmc={r: cmc_hits[r] / n_valid for r in DEFAULT_RANKS},
         n_queries=n_valid,
         n_excluded=n_excluded,
     )

@@ -14,17 +14,15 @@ Binary layout (little-endian):
     cams    N u16    (iff bit0)
     gts     N u32    (iff bit1)
 
-An optional UTF-8 JSON-lines sidecar ``<path>.meta.jsonl`` carries one
-``{"index": i, "sample_id": ...}`` object per sample.
+Samples are identified by their row index; the format carries no other id.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -93,12 +91,8 @@ def _payload_size(n: int, dim: int, n_parts: int, flags: int) -> int:
     return size
 
 
-def write_feature_bank(
-    bank: FeatureBank,
-    path,
-    sample_ids: Optional[Sequence] = None,
-) -> None:
-    """Serialize ``bank`` to ``path``; optionally write the metadata sidecar.
+def write_feature_bank(bank: FeatureBank, path) -> None:
+    """Serialize ``bank`` to ``path``.
 
     The full payload is staged in memory first, so a validation failure
     never leaves a partial file behind.
@@ -125,34 +119,6 @@ def write_feature_bank(
         buf += bank.gt_ids.astype("<u4").tobytes()
 
     Path(path).write_bytes(bytes(buf))
-    if sample_ids is not None:
-        if len(sample_ids) != n:
-            raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
-        write_meta_sidecar(path, sample_ids)
-
-
-def write_meta_sidecar(bank_path, sample_ids: Sequence) -> None:
-    lines = [
-        json.dumps({"index": i, "sample_id": sid}) for i, sid in enumerate(sample_ids)
-    ]
-    Path(str(bank_path) + ".meta.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def load_sample_ids(bank_path) -> Optional[Dict[int, object]]:
-    """Sidecar sample ids keyed by row index, or None if no sidecar exists.
-
-    A missing entry defaults to the row index itself.
-    """
-    sidecar = Path(str(bank_path) + ".meta.jsonl")
-    if not sidecar.exists():
-        return None
-    mapping: Dict[int, object] = {}
-    for line in sidecar.read_text("utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        mapping[int(record["index"])] = record.get("sample_id", int(record["index"]))
-    return mapping
 
 
 def read_feature_bank(path) -> FeatureBank:

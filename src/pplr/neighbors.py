@@ -133,8 +133,9 @@ def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
     return cols[order][starts[:, None] + np.arange(k)]
 
 
-def topk_ranked_lists(dist: DistanceMatrix, k: int, space_id: str) -> RankedLists:
-    """Top-k neighbor lists per row, ascending distance, ties to smaller index."""
+def topk_ranked_lists(dist: DistanceMatrix, k: int) -> RankedLists:
+    """Top-k neighbor lists per row, ascending distance, ties to smaller
+    index, self excluded."""
     n = dist.n_samples
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N; got k={k}, N={n}")
@@ -145,7 +146,7 @@ def topk_ranked_lists(dist: DistanceMatrix, k: int, space_id: str) -> RankedList
         masked[...] = dist.values[blk]
         masked[np.arange(masked.shape[0]), np.arange(blk.start, blk.stop)] = np.inf
         lists[blk] = _stable_topk(masked, k)
-    return RankedLists(space_id=space_id, k=k, lists=lists)
+    return RankedLists(lists=lists)
 
 
 def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

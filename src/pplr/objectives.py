@@ -60,7 +60,6 @@ class ClassifierHead:
     """
 
     weight: np.ndarray
-    space_id: str
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weight, dtype=np.float64)
@@ -69,10 +68,6 @@ class ClassifierHead:
         if not np.all(np.isfinite(w)):
             raise ValueError("non-finite head weight")
         self.weight = w
-
-    @classmethod
-    def from_centroids(cls, centroids: np.ndarray, space_id: str) -> "ClassifierHead":
-        return cls(weight=np.array(centroids, dtype=np.float64), space_id=space_id)
 
     @property
     def k_classes(self) -> int:

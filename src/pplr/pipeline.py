@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +24,6 @@ import numpy as np
 from .agreement import agreement_matrix
 from .cluster import DbscanParams, cluster_centroids, dbscan
 from .core import (
-    GLOBAL_SPACE,
     ConfigError,
     CrossAgreement,
     DataFormatError,
@@ -33,7 +31,6 @@ from .core import (
     NoValidQueryError,
     NumericalError,
     PseudoLabels,
-    part_space,
 )
 from .evaluate import LabelQuality, RetrievalResult, label_quality, map_cmc
 from .neighbors import k_reciprocal_jaccard, pairwise_sq_euclidean, topk_ranked_lists
@@ -133,9 +130,9 @@ class EpochReport:
     Quality and retrieval metrics are present only when the bank carries
     ground-truth ids. Retrieval also needs camera ids; when no query has
     a cross-camera positive it stays None and ``warnings`` gains
-    ``no_valid_query: 1``, a key absent from every other epoch.
-    ``wall_time`` stays in memory; it is deliberately dropped from the
-    serialized form to keep report files reproducible.
+    ``no_valid_query: 1``, a key absent from every other epoch. The
+    report holds no wall-clock time, so identical runs serialize to
+    identical bytes.
     """
 
     epoch: int
@@ -147,7 +144,6 @@ class EpochReport:
     raw_quality: Optional[LabelQuality] = None
     refined_quality: Optional[LabelQuality] = None
     retrieval: Optional[RetrievalResult] = None
-    wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -246,8 +242,7 @@ def agreement_scores(bank: FeatureBank, cfg: PipelineConfig) -> CrossAgreement:
     n = _clusterable_n(bank)
     k = min(cfg.k_agreement, n - 1)
     global_lists, *part_lists = [
-        topk_ranked_lists(pairwise_sq_euclidean(mat), k, space_id)
-        for space_id, mat in bank.spaces()
+        topk_ranked_lists(pairwise_sq_euclidean(mat), k) for _, mat in bank.spaces()
     ]
     return agreement_matrix(global_lists, part_lists)
 
@@ -265,8 +260,7 @@ def init_heads(feats: FeatureBank, labels: PseudoLabels) -> List[ClassifierHead]
     if labels.k_clusters == 0:
         return []
     return [
-        ClassifierHead.from_centroids(cluster_centroids(mat, labels), space_id)
-        for space_id, mat in feats.spaces()
+        ClassifierHead(weight=cluster_centroids(mat, labels)) for _, mat in feats.spaces()
     ]
 
 
@@ -474,7 +468,6 @@ def run(
     has_gt = bank_raw.gt_ids is not None
     reports: List[EpochReport] = []
     for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
         feats = project_bank(model, bank_raw)
         clust = clustering_stage(feats, cfg)
         labels, agreement = clust.labels, clust.agreement
@@ -528,7 +521,6 @@ def run(
                 raw_quality=raw_quality,
                 refined_quality=refined_quality,
                 retrieval=retrieval,
-                wall_time=time.perf_counter() - t0,
             )
         )
 
@@ -587,9 +579,8 @@ def load_model(path) -> ToyModel:
     proj = np.frombuffer(data, "<f4", d_raw * d, offset).reshape(d_raw, d).astype(np.float64)
     offset += d_raw * d * 4
     heads = []
-    for i in range(n_heads):
+    for _ in range(n_heads):
         w = np.frombuffer(data, "<f4", k * d, offset).reshape(k, d).astype(np.float64)
         offset += k * d * 4
-        space_id = GLOBAL_SPACE if i == 0 else part_space(i - 1)
-        heads.append(ClassifierHead(weight=w, space_id=space_id))
+        heads.append(ClassifierHead(weight=w))
     return ToyModel(projection=proj, heads=heads)

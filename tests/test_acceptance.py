@@ -126,7 +126,7 @@ def test_criterion_1_cross_agreement_oracle():
             noise = rng.random((n, n))
             np.fill_diagonal(noise, 2.0)  # self sorts last, never in top-k
             order = np.argsort(noise, axis=1)[:, :k]
-            lists.append(RankedLists(space_id="x", k=k, lists=order))
+            lists.append(RankedLists(lists=order))
         ours = cross_agreement(lists[0], lists[1])
         ref = cross_agreement_oracle(lists[0].lists, lists[1].lists)
         assert np.array_equal(ours, ref)

@@ -12,17 +12,16 @@ from pplr.neighbors import pairwise_sq_euclidean, topk_ranked_lists
 from pplr.pipeline import PipelineConfig, agreement_scores
 
 
-def make_lists(rows, space_id="global"):
-    arr = np.asarray(rows)
-    return RankedLists(space_id=space_id, k=arr.shape[1], lists=arr)
+def make_lists(rows):
+    return RankedLists(lists=np.asarray(rows))
 
 
-def random_lists(rng, n, k, space_id="x"):
+def random_lists(rng, n, k):
     lists = np.empty((n, k), dtype=np.int64)
     for i in range(n):
         pool = np.delete(np.arange(n), i)
         lists[i] = rng.choice(pool, size=k, replace=False)
-    return RankedLists(space_id=space_id, k=k, lists=lists)
+    return RankedLists(lists=lists)
 
 
 class TestCrossAgreement:
@@ -59,7 +58,7 @@ class TestCrossAgreement:
         rng = np.random.default_rng(32)
         a = random_lists(rng, 30, 6)
         permuted = np.stack([rng.permutation(row) for row in a.lists])
-        b = RankedLists(space_id="y", k=6, lists=permuted)
+        b = RankedLists(lists=permuted)
         assert np.array_equal(cross_agreement(a, b), np.ones(30))
         c = random_lists(rng, 30, 6)
         different = np.flatnonzero([set(x) != set(y) for x, y in zip(a.lists, c.lists)])
@@ -79,23 +78,23 @@ class TestCrossAgreement:
 def bank_agreements(cfg, k=10):
     bank = generate_synthetic_bank(cfg)
     dists = [pairwise_sq_euclidean(l2_normalize(m)) for _, m in bank.spaces()]
-    lists = [topk_ranked_lists(d, k, str(i)) for i, d in enumerate(dists)]
+    lists = [topk_ranked_lists(d, k) for d in dists]
     return agreement_matrix(lists[0], lists[1:])
 
 
 class TestAgreementMatrix:
     def test_identical_space_column_is_one(self):
         rng = np.random.default_rng(33)
-        g = random_lists(rng, 25, 5, "global")
-        p0 = RankedLists(space_id="part0", k=5, lists=g.lists)
-        p1 = random_lists(rng, 25, 5, "part1")
+        g = random_lists(rng, 25, 5)
+        p0 = RankedLists(lists=g.lists)
+        p1 = random_lists(rng, 25, 5)
         matrix = agreement_matrix(g, [p0, p1]).scores
         assert np.array_equal(matrix[:, 0], np.ones(25))
 
     def test_part_to_part_variant(self):
         rng = np.random.default_rng(34)
-        p0 = random_lists(rng, 25, 5, "part0")
-        p1 = random_lists(rng, 25, 5, "part1")
+        p0 = random_lists(rng, 25, 5)
+        p1 = random_lists(rng, 25, 5)
         direct = cross_agreement(p0, p1)
         wrapped = agreement_matrix(p0, [p1]).scores[:, 0]
         assert np.array_equal(direct, wrapped)
@@ -152,7 +151,7 @@ def test_agreement_scores_properties_on_banks_with_duplicate_rows(data):
     assert np.array_equal(scores[:, 0], np.ones(n))
     # Cross agreement is symmetric in its two spaces.
     k = min(cfg.k_agreement, n - 1)
-    g = topk_ranked_lists(pairwise_sq_euclidean(global_feats), k, "global")
-    p = topk_ranked_lists(pairwise_sq_euclidean(other), k, "part1")
+    g = topk_ranked_lists(pairwise_sq_euclidean(global_feats), k)
+    p = topk_ranked_lists(pairwise_sq_euclidean(other), k)
     assert np.array_equal(cross_agreement(g, p), cross_agreement(p, g))
     assert np.array_equal(scores[:, 1], cross_agreement(p, g))

@@ -9,8 +9,8 @@ import pytest
 
 from oracles import refine_lines_oracle
 from pplr.cli import DEFAULT_CONFIG, _json_floats, _refined_targets, main, parse_config
-from pplr.core import ConfigError, NumericalError, normalize_bank
-from pplr.ingest import read_feature_bank
+from pplr.core import ConfigError, FeatureBank, NumericalError, normalize_bank
+from pplr.ingest import read_feature_bank, write_feature_bank
 
 
 def write_config(tmp_path, content, name="config.json"):
@@ -91,6 +91,19 @@ class TestParseConfig:
     def test_invalid_json_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(write_config(tmp_path, "{not json"))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"refinement": {"constant_alpha": Infinity}}', "refinement.constant_alpha"),
+            ('{"synth": {"occlusion_fraction": NaN}}', "synth.occlusion_fraction"),
+            ('{"synth": {"occlusion_fraction": [0.0, -Infinity, 0.0]}}', "synth.occlusion_fraction"),
+        ],
+        ids=["constant-alpha", "occlusion", "occlusion-element"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            parse_config(write_config(tmp_path, text))
 
     def test_per_part_occlusion_accepted(self, tmp_path):
         path = write_config(tmp_path, {"synth": {"occlusion_fraction": [0.0, 0.0, 1.0]}})
@@ -340,10 +353,70 @@ class TestTinyBanks:
         assert epoch["raw_quality"] is not None
 
 
+def test_identical_row_bank(tmp_path):
+    # Every distance is 0, so every neighbour list is a tie broken by index.
+    feats = np.tile(np.arange(1.0, 5.0, dtype=np.float32), (12, 1))
+    bank = FeatureBank(
+        global_feats=feats,
+        part_feats=(feats,) * 3,
+        camera_ids=np.arange(12) % 3,
+        gt_ids=np.zeros(12, dtype=np.int64),
+    )
+    path = str(tmp_path / "same.pplb")
+    write_feature_bank(bank, path)
+
+    def records(command, *flags):
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--bank", path, "--out", str(out), *flags]) == 0, command
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    assert [r["label"] for r in records("cluster")] == [0] * 12
+    assert [r["scores"] for r in records("agree")] == [[1.0] * 3] * 12
+    refined = records("refine")
+    assert [r["pglr"] for r in refined] == [[1.0]] * 12
+    assert [r["aals"] for r in refined] == [[[1.0]] * 3] * 12
+    assert records("eval") == [{"mAP": 1.0, "CMC@1": 1.0, "CMC@5": 1.0, "CMC@10": 1.0}]
+    for command in ("train", "pipeline"):
+        records(command, "--epochs", "2", "--iters", "3")
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = write_config(tmp_path, {"refinement": {"beta": 2.0}})
         assert main(["simgen", "--config", bad, "--out", str(tmp_path / "x.pplb")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, flags, config, key",
+        [
+            ("train", ("--lr", "nan"), None, "pipeline.learning_rate"),
+            ("train", ("--lambda-cam", "nan"), None, "loss_weights.lambda_cam"),
+            ("train", ("--tau", "inf"), None, "loss_weights.tau"),
+            ("simgen", ("--spread", "inf"), None, "synth.cluster_spread"),
+            ("train", (), '{"refinement": {"beta": NaN}}', "refinement.beta"),
+        ],
+        ids=["lr-nan", "lambda-cam-nan", "tau-inf", "spread-inf", "config-NaN"],
+    )
+    def test_non_finite_number_is_2(self, tmp_path, capsys, command, flags, config, key):
+        # argparse's float() reads "nan" and "inf", and json.loads reads NaN,
+        # so parsing alone lets them through.
+        bank = str(tmp_path / "bank.pplb")
+        assert main(["simgen", "--out", bank]) == 0
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *flags]
+        if command != "simgen":
+            argv += ["--bank", bank]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path, config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: expected a finite number"), err
+        assert not out.exists()
+
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["simgen", "--config", str(path), "--out", str(tmp_path / "x.pplb")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config is not UTF-8")
 
     def test_missing_output_is_2(self):
         assert main(["simgen"]) == 2
@@ -385,9 +458,6 @@ class TestExitCodes:
 
     def test_numerical_error_is_4(self, tmp_path):
         # A zero feature row is valid on disk but cannot be normalized.
-        from pplr.core import FeatureBank
-        from pplr.ingest import write_feature_bank
-
         feats = np.ones((6, 4), dtype=np.float32)
         feats[2] = 0.0
         bank = FeatureBank(global_feats=feats, part_feats=(np.ones((6, 4), dtype=np.float32),))

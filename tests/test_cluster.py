@@ -117,7 +117,7 @@ class TestDbscan:
 class TestClusterCentroids:
     def test_hand_cases(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
-        labels = PseudoLabels(labels=np.array([0, 0, 1, -1]), k_clusters=2)
+        labels = PseudoLabels(labels=np.array([0, 0, 1, -1]))
         cents = cluster_centroids(feats, labels)
         assert np.array_equal(cents, [[1.0, 0.0], [5.0, 5.0]])
 
@@ -126,7 +126,7 @@ class TestClusterCentroids:
         feats = rng.standard_normal((20, 4))
         raw = rng.integers(0, 3, size=20)
         raw[:3] = [0, 1, 2]
-        labels = PseudoLabels(labels=raw, k_clusters=3)
+        labels = PseudoLabels(labels=raw)
         cents = cluster_centroids(feats, labels)
         for b in range(3):
             ref = feats[raw == b].mean(axis=0)

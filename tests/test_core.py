@@ -86,33 +86,46 @@ class TestFeatureBank:
 
 class TestPseudoLabels:
     def test_valid(self):
-        pl = PseudoLabels(labels=np.array([0, 1, -1, 0]), k_clusters=2)
+        pl = PseudoLabels(labels=np.array([0, 1, -1, 0]))
+        assert pl.k_clusters == 2
         assert pl.n_outliers == 1
         assert [m.tolist() for m in pl.cluster_members()] == [[0, 3], [1]]
 
-    def test_gap_in_ids_rejected(self):
-        with pytest.raises(ValueError):
-            PseudoLabels(labels=np.array([0, 2, 2]), k_clusters=3)
+    @pytest.mark.parametrize(
+        "labels, k",
+        [([-1, -1, -1], 0), ([], 0), ([1, 1, 0, -1], 2)],
+        ids=["all-noise", "empty", "unordered"],
+    )
+    def test_k_clusters_derived_from_labels(self, labels, k):
+        assert PseudoLabels(labels=np.array(labels, dtype=np.int64)).k_clusters == k
 
-    def test_k_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PseudoLabels(labels=np.array([0, 1]), k_clusters=3)
+    def test_gap_in_ids_rejected(self):
+        with pytest.raises(ValueError, match="no gap"):
+            PseudoLabels(labels=np.array([0, 2, 2]))
+
+    def test_label_below_minus_one_rejected(self):
+        with pytest.raises(ValueError, match="below -1"):
+            PseudoLabels(labels=np.array([0, -2, 0]))
 
 
 class TestRankedLists:
+    def test_k_is_list_width(self):
+        lists = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        assert RankedLists(lists=lists).k == lists.shape[1] == 3
+
     def test_self_index_rejected(self):
         with pytest.raises(ValueError, match="own sample index"):
-            RankedLists(space_id="global", k=2, lists=np.array([[0, 1], [0, 2], [1, 0]]))
+            RankedLists(lists=np.array([[0, 1], [0, 2], [1, 0]]))
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            RankedLists(space_id="global", k=2, lists=np.array([[1, 1], [0, 2], [0, 1]]))
+            RankedLists(lists=np.array([[1, 1], [0, 2], [0, 1]]))
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError, match="k >= 1"):
-            RankedLists(space_id="global", k=0, lists=np.zeros((3, 0), dtype=np.int64))
+            RankedLists(lists=np.zeros((3, 0), dtype=np.int64))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            RankedLists(space_id="global", k=2, lists=np.array([[1, 5], [0, 2], [0, 1]]))
+            RankedLists(lists=np.array([[1, 5], [0, 2], [0, 1]]))
 

@@ -11,7 +11,6 @@ from pplr.ingest import (
     VERSION,
     SynthConfig,
     generate_synthetic_bank,
-    load_sample_ids,
     read_feature_bank,
     write_feature_bank,
 )
@@ -120,14 +119,6 @@ class TestFileFormat:
         with pytest.raises(NumericalError):
             FeatureBank(global_feats=bad, part_feats=(np.ones((2, 2), dtype=np.float32),))
         assert list(tmp_path.iterdir()) == []
-
-    def test_sidecar_roundtrip(self, tmp_path):
-        path = tmp_path / "bank.pplb"
-        write_feature_bank(tiny_bank(), path, sample_ids=["a", "b"])
-        assert load_sample_ids(path) == {0: "a", 1: "b"}
-        other = tmp_path / "other.pplb"
-        write_feature_bank(tiny_bank(), other)
-        assert load_sample_ids(other) is None
 
 
 class TestGenerator:

@@ -113,13 +113,13 @@ class TestTopkRankedLists:
                 [3.0, 6.0, 7.0, 0.0],
             ]
         )
-        lists = topk_ranked_lists(DistanceMatrix(values), 2, "global")
+        lists = topk_ranked_lists(DistanceMatrix(values), 2)
         assert lists.lists[0].tolist() == [1, 2]
 
     def test_self_never_listed(self):
         rng = np.random.default_rng(9)
         d = pairwise_sq_euclidean(rng.standard_normal((30, 4)))
-        lists = topk_ranked_lists(d, 10, "global")
+        lists = topk_ranked_lists(d, 10)
         assert not np.any(lists.lists == np.arange(30)[:, None])
 
     def test_tie_broken_by_smaller_index(self):
@@ -129,7 +129,7 @@ class TestTopkRankedLists:
         np.fill_diagonal(values, 0.0)
         values[0, 4] = values[4, 0] = 2.0
         values[0, 7] = values[7, 0] = 2.0
-        lists = topk_ranked_lists(DistanceMatrix(values), 2, "global")
+        lists = topk_ranked_lists(DistanceMatrix(values), 2)
         assert lists.lists[0].tolist() == [4, 7]
 
     @pytest.mark.parametrize("case", ["random", "grid", "duplicates"])
@@ -143,22 +143,22 @@ class TestTopkRankedLists:
         d = pairwise_sq_euclidean(x)
         n = d.n_samples
         for k in sorted({1, 7, 20, n - 1}):
-            got = topk_ranked_lists(d, k, "global").lists
+            got = topk_ranked_lists(d, k).lists
             assert np.array_equal(got, masked_reference(d, k)), f"k={k}"
 
     def test_k_too_large(self):
         d = pairwise_sq_euclidean(np.eye(4))
         with pytest.raises(ValueError):
-            topk_ranked_lists(d, 4, "global")
+            topk_ranked_lists(d, 4)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(10)
         d = pairwise_sq_euclidean(rng.standard_normal((25, 5)))
         squared = DistanceMatrix(d.values**2)
         scaled = DistanceMatrix(3.0 * d.values)
-        base = topk_ranked_lists(d, 6, "global").lists
-        assert np.array_equal(base, topk_ranked_lists(squared, 6, "global").lists)
-        assert np.array_equal(base, topk_ranked_lists(scaled, 6, "global").lists)
+        base = topk_ranked_lists(d, 6).lists
+        assert np.array_equal(base, topk_ranked_lists(squared, 6).lists)
+        assert np.array_equal(base, topk_ranked_lists(scaled, 6).lists)
 
     def test_cosine_equivalence_on_normalized_features(self):
         rng = np.random.default_rng(11)
@@ -170,8 +170,8 @@ class TestTopkRankedLists:
         np.maximum(cos, 0.0, out=cos)
         np.fill_diagonal(cos, 0.0)
         cosine = DistanceMatrix(cos)
-        a = topk_ranked_lists(euclid, 7, "global").lists
-        b = topk_ranked_lists(cosine, 7, "global").lists
+        a = topk_ranked_lists(euclid, 7).lists
+        b = topk_ranked_lists(cosine, 7).lists
         assert np.array_equal(a, b)
 
 
@@ -184,7 +184,7 @@ def test_topk_matches_stable_argsort_on_small_integer_matrices(data):
     values = values + values.T
     dist = DistanceMatrix(values)
     k = data.draw(st.integers(1, n - 1), label="k")
-    got = topk_ranked_lists(dist, k, "global").lists
+    got = topk_ranked_lists(dist, k).lists
     assert np.array_equal(got, masked_reference(dist, k))
     # Unmasked, as k_reciprocal_jaccard ranks: zero-distance ties can put a
     # smaller index ahead of a row's own, and the depth may reach N.
@@ -374,4 +374,4 @@ def test_memory_stays_within_a_few_n_by_n_matrices():
     assert traced_peak(k_reciprocal_jaccard, x, 30, 6, 0.0) <= 2 * matrix
     assert traced_peak(k_reciprocal_jaccard, x, 30, 6, 0.5) <= 3 * matrix
     assert traced_peak(pairwise_sq_euclidean, x) <= 1.5 * matrix
-    assert traced_peak(topk_ranked_lists, dist, 20, "global") <= 1.5 * matrix
+    assert traced_peak(topk_ranked_lists, dist, 20) <= 1.5 * matrix

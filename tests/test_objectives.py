@@ -194,7 +194,7 @@ def proxy_fixture():
 class TestCameraProxies:
     def test_mean_of_rows(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
-        labels = PseudoLabels(labels=np.array([0, 0, -1]), k_clusters=1)
+        labels = PseudoLabels(labels=np.array([0, 0, -1]))
         cams = np.array([0, 0, 0])
         out = build_camera_proxies(feats, labels, cams)
         assert out.n_proxies == 1
@@ -202,7 +202,7 @@ class TestCameraProxies:
 
     def test_singleton_group(self):
         feats = np.array([[1.0, 2.0], [5.0, 6.0]])
-        labels = PseudoLabels(labels=np.array([0, 0]), k_clusters=1)
+        labels = PseudoLabels(labels=np.array([0, 0]))
         out = build_camera_proxies(feats, labels, np.array([0, 1]))
         assert out.n_proxies == 2
         assert np.array_equal(out.proxies[0], [1.0, 2.0])
@@ -213,7 +213,7 @@ class TestCameraProxies:
         feats = rng.standard_normal((30, 4))
         raw = rng.integers(0, 3, size=30)
         raw[:3] = [0, 1, 2]
-        labels = PseudoLabels(labels=raw, k_clusters=3)
+        labels = PseudoLabels(labels=raw)
         cams = rng.integers(0, 2, size=30)
         out = build_camera_proxies(feats, labels, cams)
         for m in range(out.n_proxies):
@@ -221,7 +221,7 @@ class TestCameraProxies:
             assert np.abs(out.proxies[m] - feats[mask].mean(axis=0)).max() < 1e-12
 
     def test_missing_cameras_rejected(self):
-        labels = PseudoLabels(labels=np.array([0]), k_clusters=1)
+        labels = PseudoLabels(labels=np.array([0]))
         with pytest.raises(ValueError, match="camera"):
             build_camera_proxies(np.ones((1, 2)), labels, None)
 

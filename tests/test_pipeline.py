@@ -198,7 +198,7 @@ class TestTrainingStage:
         bank = small_noisy_bank()
         cfg = PipelineConfig(seed=0, proj_dim=12)
         model = initial_model(cfg, bank)
-        labels = PseudoLabels(labels=np.full(bank.n_samples, -1), k_clusters=0)
+        labels = PseudoLabels(labels=np.full(bank.n_samples, -1))
         ca = CrossAgreement(scores=np.zeros((bank.n_samples, bank.n_parts)))
         trace = training_stage(model, bank, project_bank(model, bank), [], labels, ca, cfg)
         assert trace.skipped_stage
@@ -297,7 +297,7 @@ class TestSingleStepOracle:
             ),
             loss_weights=LossWeights(lambda_cam=0.5, tau=0.4, n_hard_negatives=2),
         )
-        labels = PseudoLabels(labels=bank.gt_ids, k_clusters=3)
+        labels = PseudoLabels(labels=bank.gt_ids)
         rng_ca = np.random.default_rng(31)
         agreements = CrossAgreement(scores=rng_ca.uniform(0.1, 0.9, size=(12, 2)))
 
@@ -473,7 +473,6 @@ class TestRun:
         assert np.allclose(back.projection, model.projection, atol=1e-6)
         assert len(back.heads) == len(model.heads)
         for a, b in zip(back.heads, model.heads):
-            assert a.space_id == b.space_id
             assert np.allclose(a.weight, b.weight, atol=1e-6)
 
     def test_model_that_overflows_float32_is_not_written(self, tmp_path):

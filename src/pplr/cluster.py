@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PseudoLabels
+from .core import PseudoLabels, _require_finite
 from .neighbors import DistanceMatrix
 
 
@@ -26,6 +26,7 @@ class DbscanParams:
     min_samples: int = 4
 
     def __post_init__(self) -> None:
+        _require_finite(self, "eps", "min_samples")
         if not self.eps > 0:
             raise ValueError("eps must be > 0")
         if self.min_samples < 1:

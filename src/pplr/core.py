@@ -8,6 +8,7 @@ to the next without copying it. All validation happens in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -41,6 +42,17 @@ class DataFormatError(PPLRError):
 
 class NumericalError(PPLRError):
     """Numerically invalid data: NaN/inf entries, zero-norm rows."""
+
+
+def _require_finite(config, *names: str) -> None:
+    """Reject NaN and +-inf in the named number fields of a config
+    dataclass, naming the field: a range check written as a comparison
+    lets NaN through and accepts an infinite bound. A Python int is always
+    finite (and may be too large to convert to a float)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .core import NoValidQueryError
-from .neighbors import _row_blocks
+from .neighbors import _chunks, _row_blocks
 
 DEFAULT_RANKS = (1, 5, 10)
 
@@ -88,13 +88,22 @@ def map_cmc(
     are ranked: taken in ascending gallery order and stable-sorted by
     distance, they are the prefix of the full ranking up to that positive
     (entries tied with it at a larger index sort after it and add only
-    trailing non-matches). Each query's AP is still computed on its own,
-    so mAP sums in the same order.
+    trailing non-matches).
 
     Queries are ranked one block of rows at a time (see
     :func:`pplr.neighbors._row_blocks`): the call holds a block's distance
     and mask arrays, never a query x gallery matrix, and each block's
-    arrays are freed before the next block is ranked.
+    arrays are freed before the next block is ranked. A query's
+    same-identity gallery entries are read from the gallery sorted by
+    identity, so only they are tested for a shared camera and a largest
+    distance. Within a block the queries are cut into chunks whose kept
+    candidates fit ``_CHUNK_TRIPLES`` (see :func:`pplr.neighbors._chunks`),
+    and each chunk is ranked by a stable sort on distance and then a
+    stable sort on the query. CMC reads each query's first
+    positive. AP reads its positives' ranks: the precisions of all queries
+    with the same number of positives are summed as the rows of one 2-D
+    array, which gives each query the bits of a 1-D sum of its own
+    precisions, and mAP averages the APs in query order.
 
     Raises:
         NoValidQueryError: when every query is excluded.
@@ -110,47 +119,74 @@ def map_cmc(
 
     sq_q = np.einsum("ij,ij->i", q, q)
     sq_g = np.einsum("ij,ij->i", g, g)
+    # Gallery rows grouped by identity: a query's same-identity rows are
+    # one slice of ``by_id``.
+    by_id = np.argsort(g_ids)
+    sorted_ids = g_ids[by_id]
 
-    def relevance_rows(blk: slice) -> list:
-        """Per query of the block: the relevance of its ranked gallery up to
-        its farthest cross-camera positive, same-identity same-camera
-        entries removed."""
+    # Per query, its number of positives; per positive, in query order and
+    # then rank order, its 0-based rank in the query's ranked gallery.
+    n_pos, ranks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+
+    def rank_block(blk: slice) -> None:
+        """Append the positive counts and ranks of the block's queries,
+        same-identity same-camera entries removed."""
         # Squared distances rank identically to Euclidean ones.
         dist = q[blk] @ g.T
         dist *= 2.0
         np.subtract(sq_q[blk, None] + sq_g, dist, out=dist)
-        same_id = q_ids[blk, None] == g_ids
-        kept = ~(same_id & (q_cams[blk, None] == g_cams))
-        far = np.max(dist, axis=1, where=same_id & kept, initial=-np.inf)
-        kept &= dist <= far[:, None]
-        rows = []
-        for row, candidates, relevant in zip(dist, kept, same_id):
-            ranked = np.flatnonzero(candidates)
-            ranked = ranked[np.argsort(row[ranked], kind="stable")]
-            rows.append(relevant[ranked])
-        return rows
+        # Each query's same-identity gallery entries as (row, column) pairs;
+        # those that share its camera are junk, the rest its positives.
+        lo = np.searchsorted(sorted_ids, q_ids[blk], side="left")
+        sizes = np.searchsorted(sorted_ids, q_ids[blk], side="right") - lo
+        id_rows = np.repeat(np.arange(lo.size), sizes)
+        offsets = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        id_cols = by_id[offsets + np.arange(id_rows.size)]
+        junk = q_cams[blk][id_rows] == g_cams[id_cols]
+        far = np.full(lo.size, -np.inf)
+        np.maximum.at(far, id_rows[~junk], dist[id_rows[~junk], id_cols[~junk]])
+        kept = dist <= far[:, None]
+        kept[id_rows[junk], id_cols[junk]] = False
+        for sub in _chunks(np.cumsum(np.count_nonzero(kept, axis=1))):
+            rows, cols = np.divmod(np.flatnonzero(kept[sub]), g.shape[0])
+            # Rows ascending, then distance, then gallery index: a stable
+            # sort by distance, then a stable (radix) sort by row. The rows
+            # are already sorted, so ``rows[order]`` is ``rows``.
+            order = np.argsort(dist[sub][rows, cols], kind="stable")
+            by_row = rows[order].astype(np.min_scalar_type(sub.stop - sub.start))
+            order = order[np.argsort(by_row, kind="stable")]
+            hits = np.flatnonzero(g_ids[cols[order]] == q_ids[blk][sub][rows])
+            starts = np.searchsorted(rows, np.arange(sub.stop - sub.start))
+            hit_rows = rows[hits]
+            n_pos.append(np.bincount(hit_rows, minlength=sub.stop - sub.start))
+            ranks.append(hits - starts[hit_rows])
 
-    aps = []
-    cmc_hits = {r: 0 for r in DEFAULT_RANKS}
-    n_excluded = 0
     for blk in _row_blocks(q.shape[0]):
-        for relevance in relevance_rows(blk):
-            if not relevance.any():
-                n_excluded += 1
-                continue
-            aps.append(average_precision(relevance))
-            first_hit = int(np.flatnonzero(relevance)[0])
-            for r in DEFAULT_RANKS:
-                if first_hit < r:
-                    cmc_hits[r] += 1
-    n_valid = len(aps)
+        rank_block(blk)
+    n_pos, ranks = np.concatenate(n_pos), np.concatenate(ranks)
+    valid = n_pos > 0
+    n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:
         raise NoValidQueryError("no query has a valid cross-camera positive")
+    n_pos = n_pos[valid]
+    firsts = np.cumsum(n_pos) - n_pos  # each valid query's first positive
+    # Precision at each positive: its ordinal among the query's positives
+    # over its rank, both counted from 1.
+    ordinal = np.arange(ranks.size) - np.repeat(firsts, n_pos)
+    precision = (ordinal + 1) / (ranks + 1)
+    # AP sums each query's precisions in rank order: queries with equal
+    # positive counts as the rows of one 2-D array, whose row sums have the
+    # bits of a 1-D sum of each row.
+    aps = np.empty(n_valid)
+    for count in np.unique(n_pos):
+        group = np.flatnonzero(n_pos == count)
+        aps[group] = precision[firsts[group, None] + np.arange(count)].sum(axis=1) / count
+    first_hit = ranks[firsts]
     return RetrievalResult(
         map=float(np.mean(aps)),
-        cmc={r: cmc_hits[r] / n_valid for r in DEFAULT_RANKS},
+        cmc={r: int(np.count_nonzero(first_hit < r)) / n_valid for r in DEFAULT_RANKS},
         n_queries=n_valid,
-        n_excluded=n_excluded,
+        n_excluded=int(valid.size - n_valid),
     )
 
 

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DataFormatError, FeatureBank
+from .core import DataFormatError, FeatureBank, _require_finite
 
 MAGIC = b"PPLB"
 VERSION = 1
@@ -57,7 +57,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_identities", "samples_per_identity", "dim", "n_parts", "n_cameras"):
+        counts = ("n_identities", "samples_per_identity", "dim", "n_parts", "n_cameras")
+        _require_finite(self, *counts, "cluster_spread", "camera_shift")
+        for name in counts:
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.cluster_spread < 0 or self.camera_shift < 0:

@@ -19,13 +19,16 @@ is done. The Gram matrix is taken in one call, not per row block: a
 block product ``x[rows] @ x.T`` is a general product, which BLAS may
 round differently in the last bit (OpenBLAS does for small blocks).
 
-Ranking never sorts a whole row. :func:`_stable_topk` finds each row's
-k-th smallest value with ``np.partition``, keeps every entry at or below
-it (so all ties at the cut-off are kept), and stable-sorts only those
-candidates by value. Candidates enter the sort in ascending column order,
-so equal values keep the smaller index first, exactly as in a stable
-argsort of the full row; this holds for duplicate rows too, where a
-sample's own index can sit behind an equal neighbour.
+Ranking never sorts a whole row. :func:`_stable_topk` takes each row's k
+smallest entries with ``np.argpartition``, sorts them by column index and
+then stably by value, so equal values keep the smaller index first,
+exactly as in a stable argsort of the full row. Where more than k entries
+lie at or below the k-th value (ties at the cut-off), the partition's
+choice among the tied entries is arbitrary, so those rows instead keep
+every such entry and stable-sort them all. :func:`topk_ranked_lists`
+ranks k + 1 entries of each row as stored and drops the row's own index;
+with duplicate rows that index can sit behind equal neighbours of smaller
+index, and when it falls outside the k + 1 the last entry is dropped.
 
 Matrices built here are symmetric, non-negative and zero on the diagonal
 by construction, so they skip the copy and the shape, sign and symmetry
@@ -49,8 +52,9 @@ SYMMETRY_ATOL = 1e-6
 _BLOCK_ROWS = 256
 
 # Index triples per chunk of the chunked k-reciprocal passes (the set
-# expansion and the sum of minima): chunk temporaries stay under 1 MB
-# however large N grows. At N = 2400, chunks of 2^16 and more were slower.
+# expansion and the sum of minima), and ranked candidates per chunk of
+# map_cmc's queries: chunk temporaries stay under 1 MB however large N
+# grows. At N = 2400, chunks of 2^16 and more were slower.
 _CHUNK_TRIPLES = 1 << 14
 
 
@@ -126,7 +130,20 @@ def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
 def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of ``np.argsort(values, axis=1, kind="stable")``,
     found without sorting whole rows (1 <= k <= number of columns)."""
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+    top = np.argpartition(values, k - 1, axis=1)[:, :k]
+    top.sort(axis=1)
+    top_values = np.take_along_axis(values, top, axis=1)
+    kth = top_values.max(axis=1)
+    ties = np.flatnonzero(np.count_nonzero(values <= kth[:, None], axis=1) > k)
+    top = np.take_along_axis(top, np.argsort(top_values, axis=1, kind="stable"), axis=1)
+    if ties.size:
+        top[ties] = _stable_topk_of_ties(values[ties], kth[ties], k)
+    return top
+
+
+def _stable_topk_of_ties(values: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_stable_topk` of rows with more than k entries at or below
+    their k-th smallest value ``kth``: every such entry, stable-sorted."""
     rows, cols = np.nonzero(values <= kth[:, None])
     order = np.lexsort((values[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(values.shape[0]))
@@ -140,12 +157,13 @@ def topk_ranked_lists(dist: DistanceMatrix, k: int) -> RankedLists:
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N; got k={k}, N={n}")
     lists = np.empty((n, k), dtype=np.intp)
-    buffer = np.empty((min(_BLOCK_ROWS, n), n))
     for blk in _row_blocks(n):
-        masked = buffer[: blk.stop - blk.start]
-        masked[...] = dist.values[blk]
-        masked[np.arange(masked.shape[0]), np.arange(blk.start, blk.stop)] = np.inf
-        lists[blk] = _stable_topk(masked, k)
+        # The first k + 1 of each row without its own index; where
+        # duplicates of smaller index push that index out, the last entry.
+        top = _stable_topk(dist.values[blk], k + 1)
+        drop = top == np.arange(blk.start, blk.stop)[:, None]
+        drop[~drop.any(axis=1), k] = True
+        lists[blk] = top[~drop].reshape(-1, k)
     return RankedLists(lists=lists)
 
 
@@ -224,9 +242,12 @@ def _encoding(dist: np.ndarray, rank: np.ndarray, k1: int) -> Tuple[np.ndarray, 
     rows, cols = _expanded_sets(recip, recip_half, n)
     ptr = _pointers(rows, n)
     vals = np.exp(-dist[rows, cols])
-    for i in range(n):
-        weights = vals[ptr[i] : ptr[i + 1]]
-        weights /= weights.sum()
+    # Normalized one encoding length at a time: each row sum of a 2-D
+    # array has the bits of the 1-D sum of that row's weights.
+    lengths = np.diff(ptr)
+    for length in np.unique(lengths[lengths > 0]):
+        seg = ptr[np.flatnonzero(lengths == length), None] + np.arange(length)
+        vals[seg] /= vals[seg].sum(axis=1, keepdims=True)
     return ptr, cols, vals
 
 
@@ -265,25 +286,43 @@ def _sums_of_minima(expanded: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.nd
     the row sums passed through.
 
     Column m of V adds ``min(V[i, m], V[j, m])`` at (i, j) for every pair of
-    rows in its support: the outer product of the column's weights. The
-    rows of all those outer products, taken in storage order (ascending
-    column, then ascending row), are cut into chunks of about
-    ``_CHUNK_TRIPLES`` (i, j, value) triples, and each chunk goes to one
-    ``np.add.at``. Within one column every key is distinct, so a pair still
-    receives its terms in ascending m, whatever the cut."""
+    rows in its support: the outer product of the column's weights. That
+    product is symmetric, so only the pairs (i, j) with j after i in the
+    column's ascending support are accumulated. Entry by entry in storage
+    order (ascending column, then ascending row), each entry's pairs are
+    cut into chunks of about ``_CHUNK_TRIPLES`` (i, j, value) triples, and
+    each chunk goes to one ``np.add.at``. Within one column every key is
+    distinct, so a pair still receives its terms in ascending m, whatever
+    the cut. The upper triangle is then mirrored, one row block at a time,
+    and the diagonal terms ``V[i, m]`` are added by one ``np.add.at`` in
+    storage order: every entry sums its terms from 0 in ascending m, as
+    the full outer products did."""
     row_sums, col_ptr, col_rows, col_vals = expanded
     n = row_sums.size
     out = np.zeros((n, n), dtype=np.float64)
     flat = out.reshape(-1)
-    lengths = np.diff(col_ptr)
-    col_of = np.repeat(np.arange(n), lengths)  # the column of each stored entry
-    # An entry's row of its column's outer product holds as many triples
-    # as the column has entries.
-    for chunk in _chunks(np.cumsum(lengths[col_of])):
-        which, pos = _gather(col_ptr, col_of[chunk])
-        which += chunk.start
-        keys = col_rows[which] * n + col_rows[pos]
-        np.add.at(flat, keys, np.minimum(col_vals[which], col_vals[pos]))
+    # The entries after each one in its column: its pairs.
+    after = np.repeat(col_ptr[1:], np.diff(col_ptr))
+    after -= np.arange(1, col_rows.size + 1)
+    for chunk in _chunks(np.cumsum(after)):
+        counts = after[chunk]
+        firsts = np.arange(chunk.start + 1, chunk.stop + 1) - (np.cumsum(counts) - counts)
+        partners = np.repeat(firsts, counts)
+        partners += np.arange(partners.size)
+        keys = np.repeat(col_rows[chunk] * n, counts)
+        keys += col_rows[partners]
+        minima = np.repeat(col_vals[chunk], counts)
+        np.minimum(minima, col_vals[partners], out=minima)
+        np.add.at(flat, keys, minima)
+    # The lower triangle and the diagonal are still 0, so each mirrored
+    # entry is copied exactly. A row block left of the diagonal does not
+    # overlap its source and is assigned without a temporary; the square
+    # on the diagonal adds its own transpose.
+    for blk in _row_blocks(n):
+        out[blk, : blk.start] = out[: blk.start, blk].T
+        square = out[blk, blk]
+        square += square.T
+    np.add.at(flat, col_rows * (n + 1), col_vals)
     return out, row_sums
 
 
@@ -351,17 +390,22 @@ def k_reciprocal_jaccard(
     rows, one division by k2, then a pairwise row sum over all N columns,
     the bits of ``v.sum(axis=1)`` over the dense matrix.
 
+    The weights of step 3 are normalized one encoding length at a time:
+    the rows of that length form one 2-D array, whose row sums have the
+    bits of each row's own 1-D sum.
+
     The sum of minima in step 5 is accumulated into the output buffer from
     a column-major copy of V: column m adds the outer product of minima of
-    its weights over the pairs of rows in its support. The rows of those
-    outer products, in ascending column order, go to ``np.add.at`` in
-    chunks of about ``_CHUNK_TRIPLES`` (i, j, value) triples, one call per
-    chunk. A pair (i, j) thus receives its terms in ascending m, the order
-    of a per-pair sum over m, so the result does not depend on where the
-    chunks are cut. Each row block of the buffer then becomes the Jaccard
-    distance, the blend and the clip in place. Every term is symmetric in
-    (i, j), so the result is exactly symmetric and needs no
-    ``(D + D^T) / 2``.
+    its weights over the pairs of rows in its support. That product is
+    symmetric, so only the pairs i < j are accumulated, in ascending column
+    order, by ``np.add.at`` in chunks of about ``_CHUNK_TRIPLES`` (i, j,
+    value) triples, one call per chunk; the upper triangle is then
+    mirrored and the diagonal added. A pair (i, j) thus receives its terms
+    in ascending m, the order of a per-pair sum over m, so the result does
+    not depend on where the chunks are cut. Each row block of the buffer
+    then becomes the Jaccard distance, the blend and the clip in place.
+    Both triangles hold the same sums, so the result is exactly symmetric
+    and needs no ``(D + D^T) / 2``.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]

@@ -16,7 +16,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .core import PseudoLabels, _frozen
+from .core import PseudoLabels, _frozen, _require_finite
 from .neighbors import pairwise_sq_euclidean
 
 MODE_BASELINE = "baseline"
@@ -43,6 +43,7 @@ class LossWeights:
     cam_per_space: bool = False
 
     def __post_init__(self) -> None:
+        _require_finite(self, "lambda_cam", "tau", "n_hard_negatives")
         if self.lambda_cam < 0:
             raise ValueError("lambda_cam must be >= 0")
         if not self.tau > 0:

@@ -31,6 +31,7 @@ from .core import (
     NoValidQueryError,
     NumericalError,
     PseudoLabels,
+    _require_finite,
 )
 from .evaluate import LabelQuality, RetrievalResult, label_quality, map_cmc
 from .neighbors import k_reciprocal_jaccard, pairwise_sq_euclidean, topk_ranked_lists
@@ -77,7 +78,9 @@ class PipelineConfig:
     mode: str = MODE_PPLR
 
     def __post_init__(self) -> None:
-        for name in ("iters_per_epoch", "batch_p", "batch_k", "k_agreement", "proj_dim"):
+        counts = ("iters_per_epoch", "batch_p", "batch_k", "k_agreement", "proj_dim")
+        _require_finite(self, *counts, "epochs", "learning_rate")
+        for name in counts:
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.epochs < 0:

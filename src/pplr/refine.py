@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import _require_finite
 from .objectives import softmax
 
 
@@ -39,6 +40,7 @@ class RefinementConfig:
     constant_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "aals_warmup_epochs")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if self.aals_warmup_epochs < 0:

@@ -5,6 +5,13 @@ import pytest
 from pplr import neighbors
 
 
+@pytest.fixture(params=[float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def non_finite(request):
+    """NaN, +inf and -inf: the numbers that a range check written as a
+    comparison lets through or accepts."""
+    return request.param
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Row blocks of 9 rows, so that the banks of the block tests span at

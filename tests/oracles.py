@@ -193,6 +193,18 @@ def k_reciprocal_loop_oracle(
     return final
 
 
+def encoding_weights_loop_oracle(dist: np.ndarray, ptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The per-row form of the encoding weights of ``k_reciprocal_jaccard``:
+    ``exp(-d)`` over each row's expanded set (row pointers ``ptr``, column
+    indices ``cols``), each row divided by the 1-D sum of its own weights."""
+    rows = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    vals = np.exp(-dist[rows, cols])
+    for i in range(ptr.size - 1):
+        weights = vals[ptr[i] : ptr[i + 1]]
+        weights /= weights.sum()
+    return vals
+
+
 def average_precision_oracle(relevance: Sequence[bool]) -> float:
     hits = 0
     total = 0.0

@@ -131,3 +131,9 @@ class TestClusterCentroids:
         for b in range(3):
             ref = feats[raw == b].mean(axis=0)
             assert np.abs(cents[b] - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["eps", "min_samples"])
+def test_dbscan_params_reject_non_finite_numbers(name, non_finite):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        DbscanParams(**{name: non_finite})

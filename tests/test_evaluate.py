@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import label_quality_oracle, map_cmc_dense_oracle, map_cmc_oracle
+from pplr import neighbors
 from pplr.core import NoValidQueryError
 from pplr.evaluate import average_precision, label_quality, map_cmc
 
@@ -110,6 +111,13 @@ class TestMapCmc:
         with pytest.raises(NoValidQueryError, match="cross-camera positive"):
             map_cmc(feats, feats, ids, ids, cams, cams)
 
+    @pytest.mark.parametrize("n_query, n_gallery", [(0, 4), (4, 0)], ids=["no-query", "no-gallery"])
+    def test_empty_side_is_a_typed_error(self, n_query, n_gallery):
+        q, g = np.ones((n_query, 3)), np.ones((n_gallery, 3))
+        with pytest.raises(NoValidQueryError, match="cross-camera positive"):
+            map_cmc(q, g, np.zeros(n_query, int), np.zeros(n_gallery, int),
+                    np.zeros(n_query, int), np.ones(n_gallery, int))
+
 
 def assert_same_as_dense(*inst):
     result = map_cmc(*inst)
@@ -137,6 +145,34 @@ class TestMapCmcAcrossRowBlocks:
         cams = rng.integers(0, 3, size=50)
         assert_same_as_dense(feats, feats, ids, ids, cams, cams)
         assert_same_as_dense(feats[:40], feats[10:], ids[:40], ids[10:], cams[:40], cams[10:])
+
+
+@pytest.mark.parametrize("budget", [1, 300, 1 << 40], ids=["one-query", "mid-block", "one-chunk"])
+def test_map_cmc_in_candidate_chunks_inside_a_block(small_blocks, monkeypatch, budget):
+    # About 100 candidates per query: chunks of 300 hold two queries, so
+    # each 9-query block is cut four times. With 4 identities over 120
+    # gallery rows, many queries share a positive count, so AP sums groups
+    # of rows.
+    monkeypatch.setattr(neighbors, "_CHUNK_TRIPLES", budget)
+    rng = np.random.default_rng(67)
+    q, g, q_ids, g_ids, q_cams, g_cams = inst = random_instance(
+        rng, n_query=40, n_gallery=120, n_ids=4
+    )
+    counts = ((q_ids[:, None] == g_ids) & (q_cams[:, None] != g_cams)).sum(axis=1)
+    assert np.unique(counts).size < counts.size // 3
+    assert_same_as_dense(*inst)
+
+
+def test_map_cmc_sums_each_query_ap_in_rank_order(small_blocks):
+    # Two queries with the same number of positives, 20 to 300 of them, so
+    # AP sums them as the two rows of one 2-D array; with two queries, a
+    # last-bit change in either AP mostly shows in mAP.
+    rng = np.random.default_rng(68)
+    for n_pos in (20, 60, 150, 300):
+        g_ids = np.repeat([0, 1, 2], n_pos)
+        inst = (rng.standard_normal((2, 4)), rng.standard_normal((3 * n_pos, 4)),
+                np.array([0, 1]), g_ids, np.zeros(2, dtype=np.int64), np.ones_like(g_ids))
+        assert_same_as_dense(*inst)
 
 
 def designed_instance(n_query=20):

@@ -181,3 +181,9 @@ class TestGenerator:
             SynthConfig(n_identities=0)
         with pytest.raises(ValueError):
             SynthConfig(occlusion_fraction=(0.5, 0.5)).occlusion_fractions()
+
+
+@pytest.mark.parametrize("name", ["cluster_spread", "camera_shift", "n_identities", "dim"])
+def test_synth_config_rejects_non_finite_numbers(name, non_finite):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        SynthConfig(**{name: non_finite})

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    encoding_weights_loop_oracle,
     k_reciprocal_loop_oracle,
     k_reciprocal_oracle,
     pairwise_sq_oracle,
@@ -146,6 +147,19 @@ class TestTopkRankedLists:
             got = topk_ranked_lists(d, k).lists
             assert np.array_equal(got, masked_reference(d, k)), f"k={k}"
 
+    def test_own_index_behind_more_than_k_duplicates(self):
+        # Rows 0-5 are one point, so row 5 ranks five zero-distance
+        # duplicates of smaller index ahead of its own index: for k < 5 its
+        # own index is not among the first k + 1 and the last one is dropped.
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((20, 3))
+        x[:6] = x[0]
+        d = pairwise_sq_euclidean(x)
+        for k in (1, 2, 3, 4, 5, 19):
+            got = topk_ranked_lists(d, k).lists
+            assert np.array_equal(got, masked_reference(d, k)), f"k={k}"
+        assert topk_ranked_lists(d, 2).lists[5].tolist() == [0, 1]
+
     def test_k_too_large(self):
         d = pairwise_sq_euclidean(np.eye(4))
         with pytest.raises(ValueError):
@@ -190,6 +204,25 @@ def test_topk_matches_stable_argsort_on_small_integer_matrices(data):
     # smaller index ahead of a row's own, and the depth may reach N.
     depth = data.draw(st.integers(1, n), label="depth")
     assert np.array_equal(_stable_topk(values, depth), stable_topk_reference(values, depth))
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, 30], ids=["k1", "k4", "k9", "all-columns"])
+def test_stable_topk_with_ties_at_the_cut_off_and_infinities(k):
+    # Rows of three distinct values tie at every cut-off, rows of distinct
+    # values never do, and in the rest most entries are inf (one row all
+    # inf), also the k-th.
+    rng = np.random.default_rng(22)
+    ties = rng.integers(0, 3, size=(20, 30)).astype(np.float64)
+    distinct = rng.standard_normal((20, 30))
+    infs = rng.standard_normal((10, 30))
+    infs[rng.random((10, 30)) < 0.6] = np.inf
+    infs[0] = np.inf
+    values = np.vstack([ties, distinct, infs])[rng.permutation(50)]
+    kth = np.sort(values, axis=1)[:, k - 1]
+    tied = np.count_nonzero(values <= kth[:, None], axis=1) > k
+    assert tied.any() == (k < 30) and not tied.all()
+    assert np.isinf(kth).any()
+    assert np.array_equal(_stable_topk(values, k), stable_topk_reference(values, k))
 
 
 def two_blob_features(rng, n_a=5, n_b=5, dim=4, gap=8.0, spread=0.05):
@@ -323,10 +356,10 @@ class TestAcrossChunks:
         TestKReciprocalJaccard().test_bit_exact_against_loop_oracle()
 
     @BUDGETS
-    def test_sums_of_minima_equal_the_per_column_form(self, monkeypatch, budget):
+    def test_sums_of_minima_equal_the_per_column_form(self, small_blocks, monkeypatch, budget):
         # Column supports of 0 to 30 rows, so that 37 cuts inside large
         # columns and groups small ones; weights from a few values, so
-        # that minima tie.
+        # that minima tie. The upper triangle is mirrored in 9-row blocks.
         monkeypatch.setattr(neighbors, "_CHUNK_TRIPLES", budget)
         rng = np.random.default_rng(21)
         n = 40
@@ -339,6 +372,32 @@ class TestAcrossChunks:
         out, sums = neighbors._sums_of_minima((row_sums, col_ptr, col_rows, col_vals))
         assert sums is row_sums
         assert np.array_equal(out, sums_of_minima_by_column(col_ptr, col_rows, col_vals, n))
+
+
+def test_encoding_weights_equal_the_per_row_loop():
+    # The synthetic bank with 32 identities: N = 640, and 19 encoding
+    # lengths from 20 to 41 entries, each shared by up to 89 rows.
+    x = l2_normalize(generate_synthetic_bank(SynthConfig(seed=7, n_identities=32)).global_feats)
+    dist = pairwise_sq_euclidean(x).values
+    dist = dist / dist.max()
+    k1 = 30
+    rank = np.argsort(dist, axis=1, kind="stable")[:, : k1 + 1]
+    ptr, cols, vals = neighbors._encoding(dist, rank, k1)
+    lengths = np.unique(np.diff(ptr))
+    assert 10 < lengths.size < x.shape[0] // 4
+    assert np.array_equal(vals, encoding_weights_loop_oracle(dist, ptr, cols))
+
+
+def test_row_sums_of_a_2d_array_have_the_bits_of_1d_sums():
+    # _encoding and map_cmc sum rows of equal length as one 2-D array; each
+    # row must sum as its values would as a 1-D array, also past numpy's
+    # 8-way unrolled and 128-element pairwise blocks.
+    rng = np.random.default_rng(24)
+    for length in range(1, 301):
+        rows = rng.uniform(size=(6, length)) * 10.0 ** rng.integers(-8, 9, size=(6, 1))
+        sums = rows.sum(axis=1)
+        for i in range(rows.shape[0]):
+            assert sums[i] == rows[i].copy().sum(), f"length {length}"
 
 
 def test_strided_features_give_an_exactly_symmetric_matrix():

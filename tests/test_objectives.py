@@ -516,3 +516,9 @@ class TestTotalLoss:
             total_loss({"aals": 1.0}, LossWeights())
         with pytest.raises(ValueError, match="mode"):
             total_loss({}, LossWeights(), mode="other")
+
+
+@pytest.mark.parametrize("name", ["lambda_cam", "tau", "n_hard_negatives"])
+def test_loss_weights_reject_non_finite_numbers(name, non_finite):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        LossWeights(**{name: non_finite})

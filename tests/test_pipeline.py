@@ -502,3 +502,13 @@ class TestRun:
         echoed = json.loads(path.read_text().splitlines()[0])["config"]
         assert echoed["mode"] == "pplr"
         assert echoed["dbscan"]["eps"] == 0.6
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "epochs", "iters_per_epoch", "batch_k"])
+def test_pipeline_config_rejects_non_finite_numbers(name, non_finite):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        PipelineConfig(**{name: non_finite})
+
+
+def test_pipeline_config_accepts_an_int_too_large_for_a_float():
+    assert PipelineConfig(epochs=10**400).epochs == 10**400

@@ -155,3 +155,8 @@ class TestEffectiveAlpha:
             RefinementConfig(beta=1.5)
         with pytest.raises(ValueError):
             RefinementConfig(constant_alpha=-0.1)
+
+
+def test_refinement_config_rejects_non_finite_warmup(non_finite):
+    with pytest.raises(ValueError, match="aals_warmup_epochs must be a finite number"):
+        RefinementConfig(aals_warmup_epochs=non_finite)

@@ -4,14 +4,16 @@
 
 Exports the git revision BASE (and HEAD, when given; otherwise the working
 tree of this checkout is used) and runs one fixed matrix of pplr commands
-under each tree, with one BLAS thread. For every bank of the matrix it
-writes the bank with ``pplr simgen``, then runs ``cluster``, ``agree``,
-``refine``, ``eval``, ``train`` and ``pipeline`` (plain,
-``--constant-alpha 0.7`` and ``--mode baseline``), and ``cluster``,
-``agree``, ``refine`` and ``eval`` once more without ``--out``, saving what
-they print to stdout. It compares the SHA-256 of every file written, bank,
-outputs, saved stdout and models, and prints each file that differs with
-its two digests.
+under each tree, with one BLAS thread. The banks are the small
+``criterion10`` bank, the default bank, one bank per perfbench workload and
+``tie-heavy``, a noise-free bank whose duplicate rows tie at top-k
+cut-offs. For every bank it writes the bank with ``pplr simgen``, then
+runs ``cluster``, ``agree``, ``refine``, ``eval``, ``train`` and
+``pipeline`` (plain, ``--constant-alpha 0.7`` and ``--mode baseline``),
+and ``cluster``, ``agree``, ``refine`` and ``eval`` once more without
+``--out``, saving what they print to stdout. It compares the SHA-256 of
+every file written, bank, outputs, saved stdout and models, and prints
+each file that differs with its two digests.
 
 Exit status: 0 when every file and every command exit code match, 1 when
 something differs, 2 when a revision cannot be exported.
@@ -64,6 +66,14 @@ BANKS = {
         {"n_identities": 90, "n_parts": 6, "occlusion_fraction": [0.2] * 5 + [1.0]},
         {"epochs": 1, "iters_per_epoch": 50},
     ),
+    # No noise: 80 distinct rows of 240 (one per identity and camera), so
+    # ranked rows tie at their k-th value. With k_agreement 1, the third
+    # copy of a row has two equal rows of smaller index ahead of its own,
+    # which pushes its own index out of the first k + 1.
+    "tie-heavy": {
+        "synth": {"n_identities": 20, "samples_per_identity": 12, "cluster_spread": 0.0, "seed": 3},
+        "pipeline": {"epochs": 2, "iters_per_epoch": 10, "k_agreement": 1, "seed": 1},
+    },
 }
 
 # (output stem, subcommand, extra flags); train and pipeline also write a model.

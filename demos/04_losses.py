@@ -18,7 +18,6 @@ from pplr import (
     build_camera_proxies,
     inter_camera_loss_batch,
     softmax_triplet_loss,
-    total_loss,
 )
 from pplr.objectives import log_softmax, softmax
 
@@ -76,8 +75,3 @@ for idx in np.ndindex(*fd.shape):
     down, _, _ = inter_camera_loss_batch(probe, pseudo.labels[batch], cams[batch], proxies, w)
     fd[idx] = (up - down) / (2 * step)
 print(f"max |analytic - finite difference| = {np.abs(grad - fd).max():.2e}")
-
-print(
-    "\ntotal (pplr mode):",
-    total_loss({"aals": 1.2, "pglr": 0.8, "triplet": 0.3, "cam": 2.0}, LossWeights(lambda_cam=0.5)),
-)

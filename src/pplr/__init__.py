@@ -47,7 +47,6 @@ from .objectives import (
     build_camera_proxies,
     inter_camera_loss_batch,
     softmax_triplet_loss,
-    total_loss,
 )
 from .pipeline import (
     EpochReport,

@@ -13,15 +13,16 @@ Exit codes: 0 success, 2 config error (including a bank the command
 cannot use, such as one where no query has a cross-camera positive for
 ``eval``), 3 data-format or file error, 4 runtime numerical error.
 
-The JSON-lines outputs of this module (all but ``pipeline``'s report, which
-``pipeline.run`` writes) go through one writer. It streams the lines to
-``--out`` (or stdout) as they are formed, never as one joined string. Each
-command computes all its numbers before it opens the output, so a failed
-run leaves no file. Floats are written as ``json.dumps`` writes them, but
-from a table: ``agree`` and ``refine`` convert one ``float.__repr__`` per
-distinct bit pattern of their output array and gather those texts into the
-lines. On the 1800-sample, 6-part benchmark bank ``refine`` writes 1.1 M
-floats, of which one in seven is distinct.
+Every JSON-lines output, ``pipeline``'s report included, goes through one
+writer, ``pipeline.write_lines``. It streams the lines to ``--out`` (or
+stdout) as they are formed, never as one joined string. Each command
+computes all its numbers before it opens the output, so a failed run
+leaves no file. ``cluster`` and ``eval`` read only the global features,
+so they normalize only those. Floats are written as ``json.dumps`` writes
+them, but from a table: ``agree`` and ``refine`` convert one
+``float.__repr__`` per distinct bit pattern of their output array and
+gather those texts into the lines. On the 1800-sample, 6-part benchmark
+bank ``refine`` writes 1.1 M floats, of which one in seven is distinct.
 """
 
 from __future__ import annotations
@@ -33,12 +34,19 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .cluster import DbscanParams
-from .core import ConfigError, DataFormatError, FeatureBank, NumericalError, normalize_bank
+from .core import (
+    ConfigError,
+    DataFormatError,
+    FeatureBank,
+    NumericalError,
+    l2_normalize,
+    normalize_bank,
+)
 from .evaluate import map_cmc
 from .ingest import SynthConfig, generate_synthetic_bank, read_feature_bank, write_feature_bank
 from .objectives import LossWeights
@@ -54,6 +62,7 @@ from .pipeline import (
     run,
     save_model,
     training_stage,
+    write_lines,
 )
 from .refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
 
@@ -303,15 +312,6 @@ def _json_floats(values: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse.reshape(-1)].reshape(np.shape(values))
 
 
-def _write_lines(lines: Iterable[str], out_path: Optional[str]) -> None:
-    """Stream newline-terminated ``lines`` to ``out_path``, or to stdout."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
-
-
 def _cmd_simgen(args, cfg: RunConfig) -> int:
     out = args.out or cfg.paths.get("bank_out")
     if not out:
@@ -322,9 +322,9 @@ def _cmd_simgen(args, cfg: RunConfig) -> int:
 
 
 def _cmd_cluster(args, cfg: RunConfig) -> int:
-    feats = normalize_bank(_load_bank(args, cfg))
-    labels = cluster_labels(feats, cfg.pipeline)
-    _write_lines(
+    global_feats = l2_normalize(_load_bank(args, cfg).global_feats)
+    labels = cluster_labels(global_feats, cfg.pipeline)
+    write_lines(
         (f'{{"index": {i}, "label": {lab}}}\n' for i, lab in enumerate(labels.labels.tolist())),
         args.out,
     )
@@ -334,7 +334,7 @@ def _cmd_cluster(args, cfg: RunConfig) -> int:
 def _cmd_agree(args, cfg: RunConfig) -> int:
     feats = normalize_bank(_load_bank(args, cfg))
     rows = _json_floats(agreement_scores(feats, cfg.pipeline).scores).tolist()
-    _write_lines(
+    write_lines(
         (f'{{"index": {i}, "scores": [{", ".join(row)}]}}\n' for i, row in enumerate(rows)),
         args.out,
     )
@@ -381,7 +381,7 @@ def _cmd_refine(args, cfg: RunConfig) -> int:
     feats = normalize_bank(_load_bank(args, cfg))
     clustered, targets = _refined_targets(feats, cfg)
     texts = _json_floats(targets)
-    _write_lines(_refine_lines(feats.n_samples, clustered, texts), args.out)
+    write_lines(_refine_lines(feats.n_samples, clustered, texts), args.out)
     return 0
 
 
@@ -401,7 +401,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     if model_out:
         save_model(model, model_out)
     records = [{"config": cfg.echo()}, *trace.iterations, {"warnings": trace.warnings_dict()}]
-    _write_lines([json.dumps(r, sort_keys=True) + "\n" for r in records], out)
+    write_lines([json.dumps(r, sort_keys=True) + "\n" for r in records], out)
     return 0
 
 
@@ -421,16 +421,16 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         raise DataFormatError("bank carries no gt ids; eval requires ground truth")
     if bank.camera_ids is None:
         raise DataFormatError("bank carries no camera ids; eval is cross-camera")
-    feats = normalize_bank(bank)
+    global_feats = l2_normalize(bank.global_feats)
     result = map_cmc(
-        feats.global_feats,
-        feats.global_feats,
+        global_feats,
+        global_feats,
         bank.gt_ids,
         bank.gt_ids,
         bank.camera_ids,
         bank.camera_ids,
     )
-    _write_lines([json.dumps(result.to_json_dict(), sort_keys=True) + "\n"], args.out)
+    write_lines([json.dumps(result.to_json_dict(), sort_keys=True) + "\n"], args.out)
     return 0
 
 

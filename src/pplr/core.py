@@ -200,10 +200,11 @@ class PseudoLabels:
         return int(np.count_nonzero(self.labels < 0))
 
     def cluster_members(self) -> Tuple[np.ndarray, ...]:
-        """Per-cluster arrays of member indices, ascending."""
-        return tuple(
-            np.flatnonzero(self.labels == b) for b in range(self.k_clusters)
-        )
+        """Per-cluster arrays of member indices, ascending: one stable sort
+        of the labels, cut where each cluster starts (outliers sort first)."""
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.searchsorted(self.labels[order], np.arange(self.k_clusters + 1))
+        return tuple(np.split(order, starts)[1:-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,6 +64,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.cluster_spread < 0 or self.camera_shift < 0:
             raise ValueError("cluster_spread and camera_shift must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for frac in self.occlusion_fractions():
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("occlusion_fraction must lie in [0, 1]")

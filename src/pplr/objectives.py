@@ -6,13 +6,15 @@ two feature losses, :func:`softmax_triplet_loss` and
 :func:`inter_camera_loss_batch`, work on a whole batch at once; their
 per-sample loop forms live only in the test oracles. The classifier
 losses against the AALS and PGLR targets are written out in the train
-step over :func:`log_softmax`, with gradient ``softmax(z) - target``.
+step over :func:`log_softmax`, with gradient ``softmax(z) - target``. The
+train step also sums the four terms, the camera term weighted by
+``LossWeights.lambda_cam``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -21,11 +23,6 @@ from .neighbors import pairwise_sq_euclidean
 
 MODE_BASELINE = "baseline"
 MODE_PPLR = "pplr"
-
-_COMPONENTS = {
-    MODE_BASELINE: ("gce", "pce", "triplet", "cam"),
-    MODE_PPLR: ("aals", "pglr", "triplet", "cam"),
-}
 
 
 @dataclass(frozen=True)
@@ -192,23 +189,15 @@ def build_camera_proxies(
         raise ValueError("camera ids are required to build camera proxies")
     x = np.asarray(features, dtype=np.float64)
     cams = np.asarray(camera_ids)
-    lab = labels.labels
-    keys = sorted(
-        {(int(lab[i]), int(cams[i])) for i in range(lab.size) if lab[i] >= 0}
-    )
-    if not keys:
-        return CameraProxySet(
-            proxies=np.zeros((0, x.shape[1])),
-            proxy_camera=np.zeros(0, dtype=np.int64),
-            proxy_cluster=np.zeros(0, dtype=np.int64),
-        )
-    proxies = np.empty((len(keys), x.shape[1]), dtype=np.float64)
-    for m, (b, a) in enumerate(keys):
-        members = np.flatnonzero((lab == b) & (cams == a))
-        proxies[m] = x[members].mean(axis=0)
-    clusters, cameras = zip(*keys)
+    proxies, cameras, clusters = [], [], []
+    for b, members in enumerate(labels.cluster_members()):
+        member_cams = cams[members]
+        for a in np.unique(member_cams):
+            proxies.append(x[members[member_cams == a]].mean(axis=0))
+            cameras.append(a)
+            clusters.append(b)
     return CameraProxySet(
-        proxies=proxies,
+        proxies=np.reshape(proxies, (len(proxies), x.shape[1])),
         proxy_camera=np.asarray(cameras, dtype=np.int64),
         proxy_cluster=np.asarray(clusters, dtype=np.int64),
     )
@@ -273,22 +262,3 @@ def inter_camera_loss_batch(
     pos_mean = (pos @ p) / n_pos[:, None]
     grads[rows] = (probs @ p - pos_mean) / weights.tau / b
     return float(losses.sum() / b), grads, skipped
-
-
-def total_loss(
-    components: Mapping[str, float], weights: LossWeights, mode: str = MODE_PPLR
-) -> float:
-    """Weighted sum of the per-batch loss components.
-
-    ``components`` must provide the keys for the requested mode:
-    gce/pce/triplet/cam for "baseline", aals/pglr/triplet/cam for "pplr".
-    lambda_cam = 0 makes the result independent of the camera term.
-    """
-    if mode not in _COMPONENTS:
-        raise ValueError(f"unknown mode {mode!r}")
-    names = _COMPONENTS[mode]
-    missing = [name for name in names if name not in components]
-    if missing:
-        raise ValueError(f"missing loss components for mode {mode!r}: {missing}")
-    g, p, tri, cam = (float(components[name]) for name in names)
-    return g + p + tri + weights.lambda_cam * cam

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .objectives import (
     inter_camera_loss_batch,
     log_softmax,
     softmax_triplet_loss,
-    total_loss,
 )
 from .refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
 
@@ -89,6 +89,8 @@ class PipelineConfig:
             raise ValueError("batch_p * batch_k must be >= 4")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mode not in (MODE_BASELINE, MODE_PPLR):
             raise ValueError(f"mode must be '{MODE_BASELINE}' or '{MODE_PPLR}'")
 
@@ -219,30 +221,29 @@ def project_bank(model: ToyModel, bank_raw: FeatureBank) -> FeatureBank:
     )
 
 
-def _clusterable_n(bank: FeatureBank) -> int:
-    """N of a normalized bank in which every sample has a neighbor."""
-    if not bank.normalized:
-        raise ValueError("clustering requires a normalized bank")
-    n = bank.n_samples
+def _clusterable_n(n: int) -> int:
+    """``n``, checked: clustering needs a neighbor for every sample."""
     if n < 2:
         raise ConfigError(f"clustering needs at least 2 samples; the bank has N={n}")
     return n
 
 
-def cluster_labels(bank: FeatureBank, cfg: PipelineConfig) -> PseudoLabels:
-    """Pseudo-labels: DBSCAN over the re-ranked global distance, with the
-    encoding depths clamped to N - 1."""
-    n = _clusterable_n(bank)
+def cluster_labels(global_feats: np.ndarray, cfg: PipelineConfig) -> PseudoLabels:
+    """Pseudo-labels: DBSCAN over the re-ranked distance of the unit-norm
+    global features, with the encoding depths clamped to N - 1."""
+    n = _clusterable_n(global_feats.shape[0])
     k1 = min(CLUSTER_K1, n - 1)
     k2 = min(CLUSTER_K2, k1)
-    cluster_dist = k_reciprocal_jaccard(bank.global_feats, k1, k2, CLUSTER_BLEND_LAMBDA)
+    cluster_dist = k_reciprocal_jaccard(global_feats, k1, k2, CLUSTER_BLEND_LAMBDA)
     return dbscan(cluster_dist, cfg.dbscan)
 
 
 def agreement_scores(bank: FeatureBank, cfg: PipelineConfig) -> CrossAgreement:
     """Agreement of each part's top-k lists (plain squared Euclidean) with
     the global ones; ``k_agreement`` is clamped to N - 1."""
-    n = _clusterable_n(bank)
+    if not bank.normalized:
+        raise ValueError("clustering requires a normalized bank")
+    n = _clusterable_n(bank.n_samples)
     k = min(cfg.k_agreement, n - 1)
     global_lists, *part_lists = [
         topk_ranked_lists(pairwise_sq_euclidean(mat), k) for _, mat in bank.spaces()
@@ -253,7 +254,7 @@ def agreement_scores(bank: FeatureBank, cfg: PipelineConfig) -> CrossAgreement:
 def clustering_stage(bank: FeatureBank, cfg: PipelineConfig) -> ClusteringResult:
     """Both halves of an epoch's clustering: pseudo-labels and agreement."""
     return ClusteringResult(
-        labels=cluster_labels(bank, cfg), agreement=agreement_scores(bank, cfg)
+        labels=cluster_labels(bank.global_feats, cfg), agreement=agreement_scores(bank, cfg)
     )
 
 
@@ -335,10 +336,12 @@ def training_stage(
     for _ in range(cfg.iters_per_epoch):
         batch, replaced = _pk_sample(rng, members, cfg.batch_p, cfg.batch_k)
         trace.replacement_batches += int(replaced)
-        step = _train_step(model, bank_raw, batch, labels, agreements, cfg, epoch, proxies)
-        trace.triplet_skipped += step.pop("_triplet_skipped")
-        trace.cam_skipped += step.pop("_cam_skipped")
-        trace.iterations.append(step)
+        losses, tri_skipped, cam_skipped = _train_step(
+            model, bank_raw, batch, labels, agreements, cfg, epoch, proxies
+        )
+        trace.triplet_skipped += tri_skipped
+        trace.cam_skipped += cam_skipped
+        trace.iterations.append(losses)
     return trace
 
 
@@ -351,7 +354,9 @@ def _train_step(
     cfg: PipelineConfig,
     epoch: int,
     proxies: Optional[List[Tuple[int, CameraProxySet]]],
-) -> Dict[str, float]:
+) -> Tuple[Dict[str, float], int, int]:
+    """One gradient step on ``batch``: (its named losses, skipped triplet
+    anchors, skipped camera samples)."""
     lw = cfg.loss_weights
     ref = cfg.refinement
     k = labels.k_clusters
@@ -371,8 +376,7 @@ def _train_step(
         t_global = pglr_targets(lab, k, np.stack(qs[1:]), ca, ref.beta)
     else:
         alphas = np.ones_like(ca)
-        t_global = np.zeros((b, k))
-        t_global[np.arange(b), lab] = 1.0
+        t_global = aals_targets(lab, k, np.ones(b))
     t_parts = [aals_targets(lab, k, alphas[:, n]) for n in range(n_parts)]
 
     # Scalar components. The part term uses the smoothing decomposition
@@ -389,56 +393,42 @@ def _train_step(
         )
     loss_parts /= n_parts
 
+    # Per space, the feature gradients of the triplet and camera terms.
     loss_tri, grad_tri, tri_skipped = softmax_triplet_loss(fs[0], lab)
+    feat_grads: List[List[np.ndarray]] = [[grad_tri]] + [[] for _ in range(n_parts)]
 
     loss_cam = 0.0
     cam_skipped = 0
-    cam_grads: Dict[int, np.ndarray] = {}
     if proxies is not None:
         cams = bank_raw.camera_ids[batch]
         for space_idx, proxy_set in proxies:
             l_s, g_s, sk = inter_camera_loss_batch(fs[space_idx], lab, cams, proxy_set, lw)
             loss_cam += l_s / len(proxies)
-            cam_grads[space_idx] = g_s / len(proxies)
+            feat_grads[space_idx].append(lw.lambda_cam * (g_s / len(proxies)))
             cam_skipped += sk
 
     # Backward. d loss / d logits is (q - target) scaled by the batch mean.
-    dfs = []
-    for s in range(1 + n_parts):
-        if s == 0:
-            dz = (qs[0] - t_global) / b
-        else:
-            dz = (qs[s] - t_parts[s - 1]) / (b * n_parts)
-        dW = dz.T @ fs[s]
-        df = dz @ model.heads[s].weight
-        if s == 0:
-            df = df + grad_tri
-        if s in cam_grads:
-            df = df + lw.lambda_cam * cam_grads[s]
-        model.heads[s].weight -= cfg.learning_rate * dW
-        dfs.append(df)
-
+    scales = [b] + [b * n_parts] * n_parts
     d_proj = np.zeros_like(model.projection)
-    for s in range(1 + n_parts):
-        df, f, nrm = dfs[s], fs[s], norms[s]
-        dv = (df - (df * f).sum(axis=1, keepdims=True) * f) / nrm[:, None]
+    for s, (target, scale) in enumerate(zip([t_global, *t_parts], scales)):
+        dz = (qs[s] - target) / scale
+        df = dz @ model.heads[s].weight
+        for grad in feat_grads[s]:
+            df = df + grad
+        model.heads[s].weight -= cfg.learning_rate * (dz.T @ fs[s])
+        dv = (df - (df * fs[s]).sum(axis=1, keepdims=True) * fs[s]) / norms[s][:, None]
         d_proj += raw[s].T @ dv
     model.projection -= cfg.learning_rate * d_proj
 
-    key_global = "pglr" if cfg.mode == MODE_PPLR else "gce"
-    key_parts = "aals" if cfg.mode == MODE_PPLR else "pce"
-    components = {
+    key_global, key_parts = ("pglr", "aals") if cfg.mode == MODE_PPLR else ("gce", "pce")
+    losses = {
+        "total": loss_global + loss_parts + loss_tri + lw.lambda_cam * loss_cam,
         key_global: loss_global,
         key_parts: loss_parts,
         "triplet": loss_tri,
         "cam": loss_cam,
     }
-    return {
-        "total": total_loss(components, lw, cfg.mode),
-        **components,
-        "_triplet_skipped": tri_skipped,
-        "_cam_skipped": cam_skipped,
-    }
+    return losses, tri_skipped, cam_skipped
 
 
 def clustered_part_predictions(
@@ -542,9 +532,18 @@ def write_reports(
 ) -> None:
     """JSON-lines report file: a config echo line, then one epoch per line."""
     echo = config_echo if config_echo is not None else asdict(cfg)
-    lines = [json.dumps({"config": echo}, sort_keys=True)]
-    lines += [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    records = [{"config": echo}, *(r.to_json_dict() for r in reports)]
+    write_lines((json.dumps(r, sort_keys=True) + "\n" for r in records), path)
+
+
+def write_lines(lines: Iterable[str], out_path) -> None:
+    """Stream newline-terminated ``lines`` to ``out_path``, or to stdout:
+    the one writer of every JSON-lines output."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
 
 
 def save_model(model: ToyModel, path) -> None:

@@ -499,3 +499,27 @@ def refine_lines_oracle(n: int, clustered, pglr, aals_by_part) -> str:
             "aals": [part[row].tolist() for part in aals_by_part],
         }
     return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+def cluster_members_oracle(labels: np.ndarray, k_clusters: int) -> Tuple[np.ndarray, ...]:
+    """Per-cluster member indices, ascending: one scan of all N labels per
+    cluster."""
+    return tuple(np.flatnonzero(labels == b) for b in range(k_clusters))
+
+
+def camera_proxies_oracle(features, labels: np.ndarray, camera_ids):
+    """(proxies, proxy cameras, proxy clusters): the mean feature of each
+    non-empty (cluster, camera) pair, ordered by (cluster, camera), with
+    the keys collected sample by sample and every pair's rows found by a
+    mask over all N samples. Outliers contribute nothing."""
+    x = np.asarray(features, dtype=np.float64)
+    cams = np.asarray(camera_ids)
+    keys = sorted(
+        {(int(labels[i]), int(cams[i])) for i in range(labels.size) if labels[i] >= 0}
+    )
+    proxies = np.zeros((len(keys), x.shape[1]), dtype=np.float64)
+    for m, (b, a) in enumerate(keys):
+        proxies[m] = x[np.flatnonzero((labels == b) & (cams == a))].mean(axis=0)
+    cameras = np.array([a for _, a in keys], dtype=np.int64)
+    clusters = np.array([b for b, _ in keys], dtype=np.int64)
+    return proxies, cameras, clusters

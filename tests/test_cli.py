@@ -293,6 +293,32 @@ def _refuse(*args, **kwargs):
 
 
 class TestCommandsComputeOnlyWhatTheyPrint:
+    def test_cluster_and_eval_ignore_a_zero_part_row(self, tmp_path, small_bank):
+        # Both read only the global features: a part row that cannot be
+        # normalized changes nothing they write, while agree rejects it.
+        config, bank_path = small_bank
+        bank = read_feature_bank(bank_path)
+        parts = [p.copy() for p in bank.part_feats]
+        parts[1][5] = 0.0
+        broken = str(tmp_path / "broken.pplb")
+        write_feature_bank(
+            FeatureBank(
+                global_feats=bank.global_feats, part_feats=tuple(parts),
+                camera_ids=bank.camera_ids, gt_ids=bank.gt_ids,
+            ),
+            broken,
+        )
+        for command in ("cluster", "eval"):
+            outs = []
+            for name, path in (("intact", bank_path), ("broken", broken)):
+                out = tmp_path / f"{command}-{name}.jsonl"
+                assert main([command, "--config", config, "--bank", path, "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], command
+        out = tmp_path / "agree.jsonl"
+        assert main(["agree", "--config", config, "--bank", broken, "--out", str(out)]) == 4
+        assert not out.exists()
+
     def test_cluster_builds_no_agreement(self, tmp_path, small_bank, monkeypatch):
         config, bank = small_bank
         monkeypatch.setattr("pplr.pipeline.topk_ranked_lists", _refuse)
@@ -410,6 +436,25 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: expected a finite number"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, seed, section",
+        [("simgen", "-1", "synth"), ("pipeline", "-1", "pipeline"),
+         ("train", "-3", "pipeline"), ("cluster", "-1", "pipeline")],
+    )
+    def test_negative_seed_is_2(self, tmp_path, capsys, command, seed, section):
+        # numpy rejects a negative seed only once it is used, and not at
+        # all in a command that draws no random number.
+        bank = str(tmp_path / "bank.pplb")
+        assert main(["simgen", "--n-identities", "3", "--samples-per-identity", "4",
+                     "--out", bank]) == 0
+        out = tmp_path / "out"
+        argv = [command, "--seed", seed, "--out", str(out)]
+        if command != "simgen":
+            argv += ["--bank", bank]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {section}: seed must be >= 0\n"
         assert not out.exists()
 
     def test_config_not_utf8_is_2(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import cluster_members_oracle
 from pplr.core import (
     FeatureBank,
     NumericalError,
@@ -90,6 +91,25 @@ class TestPseudoLabels:
         assert pl.k_clusters == 2
         assert pl.n_outliers == 1
         assert [m.tolist() for m in pl.cluster_members()] == [[0, 3], [1]]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [-1, -1, -1],
+            [],
+            [2, -1, 0, 1, 2, -1, 0, 2],
+            [0] * 5,
+            list(np.random.default_rng(3).permutation(np.arange(300) % 17 - 1)),
+        ],
+        ids=["all-noise", "empty", "outliers", "one-cluster", "shuffled-300"],
+    )
+    def test_cluster_members_equal_one_scan_per_cluster(self, labels):
+        pl = PseudoLabels(labels=np.array(labels, dtype=np.int64))
+        got = pl.cluster_members()
+        want = cluster_members_oracle(pl.labels, pl.k_clusters)
+        assert len(got) == len(want) == pl.k_clusters
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     @pytest.mark.parametrize(
         "labels, k",

@@ -183,6 +183,12 @@ class TestGenerator:
             SynthConfig(occlusion_fraction=(0.5, 0.5)).occlusion_fractions()
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus-one", "below-int64"])
+def test_synth_config_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SynthConfig(seed=seed)
+
+
 @pytest.mark.parametrize("name", ["cluster_spread", "camera_shift", "n_identities", "dim"])
 def test_synth_config_rejects_non_finite_numbers(name, non_finite):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):

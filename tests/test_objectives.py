@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     aals_loss_oracle,
+    camera_proxies_oracle,
     fd_gradient,
     inter_camera_loss_batch_oracle,
     relative_error,
@@ -20,7 +21,6 @@ from pplr.objectives import (
     log_softmax,
     softmax,
     softmax_triplet_loss,
-    total_loss,
 )
 from pplr.refine import aals_targets
 
@@ -219,6 +219,40 @@ class TestCameraProxies:
         for m in range(out.n_proxies):
             mask = (raw == out.proxy_cluster[m]) & (cams == out.proxy_camera[m])
             assert np.abs(out.proxies[m] - feats[mask].mean(axis=0)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "labels, cams",
+        [
+            ([-1, 0, 1, -1, 0, 2, 1, 2, -1], [4, 4, 9, 0, 4, 0, 9, 9, 4]),
+            ([-1, -1, -1, -1], [0, 1, 2, 0]),
+            ([], []),
+            ([0, 0, 1, 1, 1, 2], [3, 3, 3, -2, 3, 70]),
+        ],
+        ids=["outliers", "all-noise", "empty", "missing-and-non-contiguous-cameras"],
+    )
+    def test_equals_the_per_pair_mask_form(self, labels, cams):
+        labels = np.array(labels, dtype=np.int64)
+        feats = np.random.default_rng(labels.size).standard_normal((labels.size, 3))
+        self._assert_equals_oracle(feats, labels, np.array(cams, dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_per_pair_mask_form_on_random_banks(self, seed):
+        # Few samples per cluster over sparse camera ids, so that most
+        # clusters miss some camera.
+        rng = np.random.default_rng(seed)
+        n = 200
+        labels = rng.permutation(np.arange(n) % 41 - 1)
+        cams = rng.choice([-5, 2, 3, 11, 1000], size=n)
+        self._assert_equals_oracle(rng.standard_normal((n, 6)), labels, cams)
+
+    @staticmethod
+    def _assert_equals_oracle(feats, labels, cams):
+        out = build_camera_proxies(feats, PseudoLabels(labels=labels), cams)
+        proxies, cameras, clusters = camera_proxies_oracle(feats, labels, cams)
+        assert out.proxies.shape == proxies.shape
+        assert np.array_equal(out.proxies, proxies)
+        assert np.array_equal(out.proxy_camera, cameras)
+        assert np.array_equal(out.proxy_cluster, clusters)
 
     def test_missing_cameras_rejected(self):
         labels = PseudoLabels(labels=np.array([0]))
@@ -487,35 +521,6 @@ class TestBatchLossesAgainstLoops:
         for labels in (np.array([0, 0, 0]), np.array([0, 1, 2])):
             loss, grad, skipped = softmax_triplet_loss(feats, labels)
             assert skipped == 3 and loss == 0.0 and np.all(grad == 0.0)
-
-
-class TestTotalLoss:
-    def test_lambda_zero_ignores_camera_term(self):
-        w = LossWeights(lambda_cam=0.0)
-        a = total_loss({"aals": 1.0, "pglr": 2.0, "triplet": 3.0, "cam": 99.0}, w)
-        b = total_loss({"aals": 1.0, "pglr": 2.0, "triplet": 3.0, "cam": -5.0}, w)
-        assert a == b == 6.0
-
-    def test_all_zero(self):
-        w = LossWeights()
-        assert total_loss({"aals": 0, "pglr": 0, "triplet": 0, "cam": 0}, w) == 0.0
-
-    def test_weighted_sum(self):
-        rng = np.random.default_rng(51)
-        vals = rng.standard_normal(4)
-        w = LossWeights(lambda_cam=0.5)
-        got = total_loss(
-            {"gce": vals[0], "pce": vals[1], "triplet": vals[2], "cam": vals[3]},
-            w,
-            mode="baseline",
-        )
-        assert abs(got - (vals[0] + vals[1] + vals[2] + 0.5 * vals[3])) < 1e-12
-
-    def test_missing_component_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            total_loss({"aals": 1.0}, LossWeights())
-        with pytest.raises(ValueError, match="mode"):
-            total_loss({}, LossWeights(), mode="other")
 
 
 @pytest.mark.parametrize("name", ["lambda_cam", "tau", "n_hard_negatives"])

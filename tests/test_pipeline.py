@@ -93,7 +93,7 @@ class TestClusteringStage:
         cfg = PipelineConfig(seed=1, proj_dim=12, dbscan=DbscanParams(eps=0.4))
         feats = project_bank(initial_model(cfg, bank), bank)
         stage = clustering_stage(feats, cfg)
-        labels = cluster_labels(feats, cfg)
+        labels = cluster_labels(feats.global_feats, cfg)
         agreement = agreement_scores(feats, cfg)
         assert np.array_equal(stage.labels.labels, labels.labels)
         assert stage.labels.k_clusters == labels.k_clusters
@@ -170,6 +170,28 @@ class TestTrainingStage:
         assert first_pplr["triplet"] == first_base["triplet"]
         assert first_pplr["cam"] == first_base["cam"]
         assert first_pplr["pglr"] != first_base["gce"]
+
+    @pytest.mark.parametrize("mode", ["pplr", "baseline"])
+    def test_total_is_the_weighted_sum_of_the_terms(self, mode):
+        bank = small_noisy_bank()
+        cfg = PipelineConfig(
+            epochs=1, iters_per_epoch=6, batch_p=4, batch_k=2, learning_rate=0.3,
+            seed=0, proj_dim=12, mode=mode, dbscan=DbscanParams(eps=0.4),
+            loss_weights=LossWeights(lambda_cam=0.3),
+        )
+        model = initial_model(cfg, bank)
+        feats = project_bank(model, bank)
+        result = clustering_stage(feats, cfg)
+        trace = training_stage(
+            model, bank, feats, init_heads(feats, result.labels), result.labels,
+            result.agreement, cfg,
+        )
+        key_global, key_parts = ("gce", "pce") if mode == "baseline" else ("pglr", "aals")
+        assert any(it["cam"] != 0.0 for it in trace.iterations)
+        for it in trace.iterations:
+            assert it["total"] == (
+                it[key_global] + it[key_parts] + it["triplet"] + 0.3 * it["cam"]
+            )
 
     def test_camera_loss_per_space_switch(self):
         bank = small_noisy_bank()
@@ -508,6 +530,12 @@ class TestRun:
 def test_pipeline_config_rejects_non_finite_numbers(name, non_finite):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         PipelineConfig(**{name: non_finite})
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)], ids=["minus-one", "below-int64"])
+def test_pipeline_config_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PipelineConfig(seed=seed)
 
 
 def test_pipeline_config_accepts_an_int_too_large_for_a_float():

@@ -9,7 +9,8 @@ under each tree, with one BLAS thread. The banks are the small
 ``tie-heavy``, a noise-free bank whose duplicate rows tie at top-k
 cut-offs. For every bank it writes the bank with ``pplr simgen``, then
 runs ``cluster``, ``agree``, ``refine``, ``eval``, ``train`` and
-``pipeline`` (plain, ``--constant-alpha 0.7`` and ``--mode baseline``),
+``pipeline`` (plain, ``--constant-alpha 0.7``, ``--mode baseline`` and
+``--lambda-cam 0``, which builds no camera proxies),
 and ``cluster``, ``agree``, ``refine`` and ``eval`` once more without
 ``--out``, saving what they print to stdout. It compares the SHA-256 of
 every file written, bank, outputs, saved stdout and models, and prints
@@ -86,6 +87,7 @@ COMMANDS = [
     ("pipeline", "pipeline", []),
     ("pipeline-constant-alpha", "pipeline", ["--constant-alpha", "0.7"]),
     ("pipeline-baseline", "pipeline", ["--mode", "baseline"]),
+    ("pipeline-no-cam", "pipeline", ["--lambda-cam", "0"]),
 ]
 
 # Commands that also run without --out; their stdout is saved as <command>-stdout.jsonl.

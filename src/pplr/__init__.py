@@ -24,7 +24,6 @@ from .core import (
 from .evaluate import (
     LabelQuality,
     RetrievalResult,
-    average_precision,
     label_quality,
     map_cmc,
 )

@@ -11,7 +11,8 @@ pipeline stage.
 
 Exit codes: 0 success, 2 config error (including a bank the command
 cannot use, such as one where no query has a cross-camera positive for
-``eval``), 3 data-format or file error, 4 runtime numerical error.
+``eval``), 3 data-format or file error (a NaN or infinity in any space
+of a bank file included), 4 runtime numerical error.
 
 Every JSON-lines output, ``pipeline``'s report included, goes through one
 writer, ``pipeline.write_lines``. It streams the lines to ``--out`` (or
@@ -19,10 +20,13 @@ stdout) as they are formed, never as one joined string. Each command
 computes all its numbers before it opens the output, so a failed run
 leaves no file. ``cluster`` and ``eval`` read only the global features,
 so they normalize only those. Floats are written as ``json.dumps`` writes
-them, but from a table: ``agree`` and ``refine`` convert one
-``float.__repr__`` per distinct bit pattern of their output array and
-gather those texts into the lines. On the 1800-sample, 6-part benchmark
-bank ``refine`` writes 1.1 M floats, of which one in seven is distinct.
+them, but from a table: ``agree`` converts one ``float.__repr__`` per
+distinct bit pattern of its output array and gathers those texts into the
+lines. ``refine`` does the same one block of clustered rows at a time (see
+:func:`pplr.neighbors._row_blocks`) and drops each block's texts once its
+lines are written, so its peak memory is that of its clustering phase. On
+the 1800-sample, 6-part benchmark bank it writes 1.1 M floats, 25 MB of
+text from 9 MB of float64 targets.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .core import (
 )
 from .evaluate import map_cmc
 from .ingest import SynthConfig, generate_synthetic_bank, read_feature_bank, write_feature_bank
+from .neighbors import _row_blocks
 from .objectives import LossWeights
 from .pipeline import (
     PipelineConfig,
@@ -363,25 +368,32 @@ def _refined_targets(feats: FeatureBank, cfg: RunConfig) -> Tuple[np.ndarray, np
     return clustered, np.stack([pglr, *aals_by_part], axis=1)
 
 
-def _refine_lines(n: int, clustered: np.ndarray, texts: np.ndarray) -> Iterator[str]:
+def _null_lines(start: int, stop: int) -> Iterator[str]:
+    """The lines of samples ``start..stop - 1``, each in no cluster."""
+    return (f'{{"index": {i}, "pglr": null, "aals": null}}\n' for i in range(start, stop))
+
+
+def _refine_lines(n: int, clustered: np.ndarray, targets: np.ndarray) -> Iterator[str]:
     """One line per sample: the texts of its row of targets, or nulls for
-    a sample in no cluster."""
-    row_of = dict(zip(clustered.tolist(), range(len(clustered))))
-    for i in range(n):
-        row = row_of.get(i)
-        if row is None:
-            yield f'{{"index": {i}, "pglr": null, "aals": null}}\n'
-            continue
-        pglr, *aals = map(", ".join, texts[row].tolist())
-        yield f'{{"index": {i}, "pglr": [{pglr}], "aals": [[{"], [".join(aals)}]]}}\n'
+    a sample in no cluster. ``targets[row]`` belongs to sample
+    ``clustered[row]``, ascending. The texts are formatted one row block
+    at a time, and a block's texts are dropped before the next block is
+    formatted."""
+    done = 0  # samples whose lines are written
+    for blk in _row_blocks(len(clustered)):
+        for i, row in zip(clustered[blk].tolist(), _json_floats(targets[blk]).tolist()):
+            yield from _null_lines(done, i)
+            pglr, *aals = map(", ".join, row)
+            yield f'{{"index": {i}, "pglr": [{pglr}], "aals": [[{"], [".join(aals)}]]}}\n'
+            done = i + 1
+    yield from _null_lines(done, n)
 
 
 def _cmd_refine(args, cfg: RunConfig) -> int:
     """PGLR and AALS targets of every sample (see ``_refined_targets``)."""
     feats = normalize_bank(_load_bank(args, cfg))
     clustered, targets = _refined_targets(feats, cfg)
-    texts = _json_floats(targets)
-    write_lines(_refine_lines(feats.n_samples, clustered, texts), args.out)
+    write_lines(_refine_lines(feats.n_samples, clustered, targets), args.out)
     return 0
 
 

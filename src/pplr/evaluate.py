@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -50,21 +50,6 @@ class LabelQuality:
     accuracy: float
     pairwise_f: float
     outlier_fraction: float
-
-
-def average_precision(ranked_relevance: Sequence[bool]) -> float:
-    """AP of one ranked gallery: mean precision at each relevant position.
-
-    Requires at least one relevant item; queries with none must be
-    excluded upstream.
-    """
-    rel = np.asarray(ranked_relevance, dtype=bool)
-    n_rel = int(rel.sum())
-    if n_rel == 0:
-        raise ValueError("average_precision requires at least one relevant item")
-    cum_hits = np.cumsum(rel)
-    positions = np.flatnonzero(rel) + 1
-    return float((cum_hits[positions - 1] / positions).sum() / n_rel)
 
 
 def map_cmc(

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DataFormatError, FeatureBank, _require_finite
+from .core import GLOBAL_SPACE, DataFormatError, FeatureBank, _require_finite, part_space
 
 MAGIC = b"PPLB"
 VERSION = 1
@@ -131,9 +131,10 @@ def read_feature_bank(path) -> FeatureBank:
     Raises:
         DataFormatError: bad magic, unsupported version, flag bits that
             version 1 does not define, a header with no part space or zero
-            dimensions, truncated payload or trailing bytes, each with a
-            distinct message.
-        NumericalError: the payload parses but contains non-finite values.
+            dimensions, truncated payload or trailing bytes, or a NaN or
+            infinity in any feature matrix, each with a distinct message.
+            A non-finite entry is a format error whichever space holds it,
+            also one that the calling command never reads.
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -159,8 +160,10 @@ def read_feature_bank(path) -> FeatureBank:
 
     offset = _HEADER.size
     mats = []
-    for _ in range(1 + n_parts):
+    for space in [GLOBAL_SPACE, *map(part_space, range(n_parts))]:
         flat = np.frombuffer(data, dtype="<f4", count=n * dim, offset=offset)
+        if not np.isfinite(flat).all():
+            raise DataFormatError(f"non-finite entry in the {space} feature payload")
         mats.append(flat.reshape(n, dim).astype(np.float32))
         offset += n * dim * 4
     camera_ids = None

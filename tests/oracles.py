@@ -13,8 +13,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from pplr.evaluate import average_precision
-
 
 def pairwise_sq_oracle(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -327,8 +325,10 @@ def map_cmc_dense_oracle(
         if not relevance.any():
             excluded += 1
             continue
-        aps.append(average_precision(relevance))
-        first_hit = int(np.flatnonzero(relevance)[0])
+        # The precisions at the positives, summed as one 1-D array.
+        hits = np.flatnonzero(relevance)
+        aps.append(float(((np.arange(hits.size) + 1) / (hits + 1)).sum() / hits.size))
+        first_hit = int(hits[0])
         for r in ranks:
             if first_hit < r:
                 cmc_hits[r] += 1

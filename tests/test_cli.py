@@ -2,15 +2,25 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import refine_lines_oracle
-from pplr.cli import DEFAULT_CONFIG, _json_floats, _refined_targets, main, parse_config
+from pplr import neighbors
+from pplr.cli import (
+    DEFAULT_CONFIG,
+    _json_floats,
+    _refine_lines,
+    _refined_targets,
+    main,
+    parse_config,
+)
 from pplr.core import ConfigError, FeatureBank, NumericalError, normalize_bank
-from pplr.ingest import read_feature_bank, write_feature_bank
+from pplr.ingest import SynthConfig, generate_synthetic_bank, read_feature_bank, write_feature_bank
+from pplr.pipeline import write_lines
 
 
 def write_config(tmp_path, content, name="config.json"):
@@ -240,6 +250,25 @@ def test_json_floats_are_what_json_dumps_writes():
         assert texts[index] == json.dumps(float(values[index])), index
 
 
+def _bank_with_noise_at(tmp_path, noise, n_identities, per_identity):
+    """A bank file whose other samples form tight identities, in order,
+    and whose samples at ``noise`` are far from everything, in every space."""
+    rng = np.random.default_rng(1)
+    n, dim = n_identities * per_identity + len(noise), 16
+    means = rng.standard_normal((4, n_identities, dim))
+    spaces = rng.standard_normal((4, n, dim))
+    members = np.setdiff1d(np.arange(n), noise)
+    ids = np.repeat(np.arange(n_identities), per_identity)
+    spaces[:, members] = means[:, ids] + 0.05 * spaces[:, members]
+    path = tmp_path / "noise.pplb"
+    write_feature_bank(
+        FeatureBank(global_feats=spaces[0].astype(np.float32),
+                    part_feats=tuple(spaces[1:].astype(np.float32))),
+        path,
+    )
+    return str(path)
+
+
 class TestStreamedOutput:
     @pytest.mark.parametrize(
         "eps", [None, 1e-9, 5.0], ids=["small-bank", "all-noise", "one-cluster"]
@@ -286,6 +315,57 @@ class TestStreamedOutput:
         out = tmp_path / "refine.jsonl"
         assert main(["refine", "--config", config, "--bank", bank, "--out", str(out)]) == 4
         assert not out.exists()
+
+    def test_refine_by_row_block_writes_the_whole_array_bytes(self, tmp_path, capsys, small_blocks):
+        # 48 samples in 6 tight identities and 6 far ones that DBSCAN at
+        # eps 0.1 leaves unclustered: the first, the last, two that sit
+        # where the 9-row blocks of clustered rows meet, and one inside a
+        # block. The 48 clustered rows end on a ragged block. A far
+        # sample's nearest Jaccard distance is 0.109 or more, a clustered
+        # sample's third nearest 0.059 or less.
+        noise = [0, 10, 11, 21, 25, 53]
+        bank = _bank_with_noise_at(tmp_path, noise, n_identities=6, per_identity=8)
+        flags = ["--bank", bank, "--eps", "0.1"]
+        out = tmp_path / "refine.jsonl"
+        assert main(["refine", *flags, "--out", str(out)]) == 0
+        assert main(["refine", *flags]) == 0
+        feats = normalize_bank(read_feature_bank(bank))
+        clustered, targets = _refined_targets(feats, parse_config(None, {"dbscan.eps": 0.1}))
+        assert sorted(set(range(feats.n_samples)) - set(clustered.tolist())) == noise
+        assert np.searchsorted(clustered, [10, 21]).tolist() == [small_blocks, 2 * small_blocks]
+        # The reference formats the whole target stack with one table.
+        rows = dict(zip(clustered.tolist(), _json_floats(targets).tolist()))
+        expected = ""
+        for i in range(feats.n_samples):
+            if i not in rows:
+                expected += f'{{"index": {i}, "pglr": null, "aals": null}}\n'
+                continue
+            pglr, *aals = map(", ".join, rows[i])
+            expected += f'{{"index": {i}, "pglr": [{pglr}], "aals": [[{"], [".join(aals)}]]}}\n'
+        assert out.read_text("utf-8") == expected
+        assert capsys.readouterr().out == expected
+        n_parts = targets.shape[1] - 1
+        assert expected == refine_lines_oracle(
+            feats.n_samples, clustered, targets[:, 0], [targets[:, 1 + p] for p in range(n_parts)]
+        )
+
+    def test_refine_formatting_peaks_below_the_targets(self, tmp_path, monkeypatch):
+        # Formatting and writing hold one block's texts at a time. One
+        # table over the whole stack held several times its bytes.
+        bank = generate_synthetic_bank(
+            SynthConfig(n_identities=20, samples_per_identity=20, dim=16, cluster_spread=0.5, seed=3)
+        )
+        feats = normalize_bank(bank)
+        clustered, targets = _refined_targets(feats, parse_config(None))
+        assert len(clustered) > 20 * 9 and targets.shape[2] > 10
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS", 9)
+        tracemalloc.start()
+        try:
+            write_lines(_refine_lines(feats.n_samples, clustered, targets), tmp_path / "r.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < targets.nbytes, (peak, targets.nbytes)
 
 
 def _refuse(*args, **kwargs):

@@ -3,30 +3,37 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import label_quality_oracle, map_cmc_dense_oracle, map_cmc_oracle
+from oracles import (
+    average_precision_oracle,
+    label_quality_oracle,
+    map_cmc_dense_oracle,
+    map_cmc_oracle,
+)
 from pplr import neighbors
 from pplr.core import NoValidQueryError
-from pplr.evaluate import average_precision, label_quality, map_cmc
+from pplr.evaluate import label_quality, map_cmc
 
 
 class TestAveragePrecision:
+    # Hand cases for the AP oracle that map_cmc is checked against.
+
     def test_all_relevant(self):
         for length in (1, 3, 10):
-            assert average_precision([True] * length) == 1.0
+            assert average_precision_oracle([True] * length) == 1.0
 
     def test_single_relevant_at_position_two(self):
-        assert average_precision([False, True]) == 0.5
+        assert average_precision_oracle([False, True]) == 0.5
 
     def test_hand_case(self):
-        assert abs(average_precision([True, False, True]) - 5 / 6) < 1e-15
+        assert abs(average_precision_oracle([True, False, True]) - 5 / 6) < 1e-15
 
     def test_trailing_irrelevant_items_ignored(self):
         base = [True, False, True]
-        assert average_precision(base) == average_precision(base + [False] * 7)
+        assert average_precision_oracle(base) == average_precision_oracle(base + [False] * 7)
 
     def test_requires_a_relevant_item(self):
         with pytest.raises(ValueError):
-            average_precision([False, False])
+            average_precision_oracle([False, False])
 
 
 def random_instance(rng, n_query=30, n_gallery=100, n_ids=8, n_cams=3, dim=6):

@@ -120,6 +120,19 @@ class TestFileFormat:
             FeatureBank(global_feats=bad, part_feats=(np.ones((2, 2), dtype=np.float32),))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("space, name", [(0, "global"), (1, "part0")])
+    def test_non_finite_payload_is_a_format_error(self, tmp_path, non_finite, space, name):
+        # The file is at fault, not the arithmetic: the reader rejects it
+        # before any FeatureBank exists, naming the space.
+        path = tmp_path / "bank.pplb"
+        write_feature_bank(tiny_bank(), path)
+        data = bytearray(path.read_bytes())
+        offset = _HEADER.size + space * 16 + 12
+        data[offset : offset + 4] = np.array([non_finite], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=f"non-finite entry in the {name} feature"):
+            read_feature_bank(path)
+
 
 class TestGenerator:
     def test_deterministic(self):

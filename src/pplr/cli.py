@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import sys
@@ -84,18 +85,24 @@ DEFAULT_CONFIG: Dict[str, dict] = {
 
 _NUMBER_OR_LIST = {"synth.occlusion_fraction"}
 
+# The types a key takes, keyed by the type of its default, and their name.
+_KINDS = {
+    bool: ((bool,), "bool"), int: ((int,), "integer"),
+    float: ((int, float), "number"), str: ((str,), "string"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully-resolved configuration for any subcommand."""
 
     synth: SynthConfig
-    dbscan: DbscanParams
-    refinement: RefinementConfig
-    loss_weights: LossWeights
     pipeline: PipelineConfig
-    paths: Dict[str, Optional[str]]
     resolved: dict
+
+    @property
+    def refinement(self) -> RefinementConfig:
+        return self.pipeline.refinement
 
     def echo(self) -> dict:
         """The dict embedded into run artifacts for reproducibility."""
@@ -104,26 +111,17 @@ class RunConfig:
 
 def _check_value(path: str, value, prototype) -> None:
     if path in _NUMBER_OR_LIST:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(value, list):
-            ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        if not ok:
+        numbers = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
             raise ConfigError(f"{path}: expected number or list of numbers")
     elif value is None:
         if prototype is not None:
             raise ConfigError(f"{path}: null is not allowed")
-    elif isinstance(prototype, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected bool, got {type(value).__name__}")
-    elif isinstance(prototype, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected integer, got {type(value).__name__}")
-    elif isinstance(prototype, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
-    elif isinstance(prototype, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected string, got {type(value).__name__}")
+    elif type(prototype) in _KINDS:
+        types, name = _KINDS[type(prototype)]
+        # bool is an int: only a bool key takes one.
+        if not isinstance(value, types) or isinstance(value, bool) != isinstance(prototype, bool):
+            raise ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
     # Left: the null defaults, strings under paths and one number,
     # refinement.constant_alpha.
     elif path.startswith("paths."):
@@ -131,27 +129,44 @@ def _check_value(path: str, value, prototype) -> None:
             raise ConfigError(f"{path}: expected string or null")
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected number or null")
-    # A float flag parses "nan" and "inf", and JSON has NaN and Infinity;
-    # no key takes a non-finite number.
+    if type(prototype) is int:
+        return
+    # A float flag parses "nan" and "inf", and JSON has NaN, Infinity and
+    # integers of any size; a number key takes only a finite float.
     for number in value if isinstance(value, list) else [value]:
-        if isinstance(number, float) and not math.isfinite(number):
+        try:
+            finite = not isinstance(number, (int, float)) or math.isfinite(number)
+        except OverflowError:
+            too_large = "an integer too large for a float"
+            raise ConfigError(f"{path}: expected a finite number, got {too_large}") from None
+        if not finite:
             raise ConfigError(f"{path}: expected a finite number, got {number!r}")
 
 
-def _merge(document: dict) -> dict:
-    merged = copy.deepcopy(DEFAULT_CONFIG)
+def _document_values(document) -> Iterator[Tuple[str, object]]:
+    """The config document's (dotted path, value) pairs, in its order."""
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
     for section, content in document.items():
-        if section not in merged:
+        if section not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown key: {section}")
         if not isinstance(content, dict):
             raise ConfigError(f"{section}: expected an object")
         for key, value in content.items():
-            if key not in merged[section]:
-                raise ConfigError(f"unknown key: {section}.{key}")
-            _check_value(f"{section}.{key}", value, DEFAULT_CONFIG[section][key])
-            merged[section][key] = value
+            yield f"{section}.{key}", value
+
+
+def _merge(document, overrides: Dict[str, object]) -> dict:
+    """The defaults with the document's values, then the dotted-path
+    overrides: each value is looked up and checked once, in that order, so
+    a file fault wins over a flag fault."""
+    merged = copy.deepcopy(DEFAULT_CONFIG)
+    for dotted, value in itertools.chain(_document_values(document), overrides.items()):
+        section, _, key = dotted.partition(".")
+        if key not in merged.get(section, {}):
+            raise ConfigError(f"unknown key: {dotted}")
+        _check_value(dotted, value, DEFAULT_CONFIG[section][key])
+        merged[section][key] = value
     return merged
 
 
@@ -183,13 +198,7 @@ def parse_config(
                 document = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    merged = _merge(document)
-    for dotted, value in (overrides or {}).items():
-        section, _, key = dotted.partition(".")
-        if section not in merged or key not in merged[section]:
-            raise ConfigError(f"unknown key: {dotted}")
-        _check_value(dotted, value, DEFAULT_CONFIG[section][key])
-        merged[section][key] = value
+    merged = _merge(document, overrides or {})
 
     occ = merged["synth"]["occlusion_fraction"]
     synth = _build_section(
@@ -197,28 +206,10 @@ def parse_config(
         SynthConfig,
         {**merged["synth"], "occlusion_fraction": tuple(occ) if isinstance(occ, list) else occ},
     )
-    dbscan_params = _build_section("dbscan", DbscanParams, merged["dbscan"])
-    refinement = _build_section("refinement", RefinementConfig, merged["refinement"])
-    loss_weights = _build_section("loss_weights", LossWeights, merged["loss_weights"])
-    pipeline_cfg = _build_section(
-        "pipeline",
-        PipelineConfig,
-        {
-            **merged["pipeline"],
-            "dbscan": dbscan_params,
-            "refinement": refinement,
-            "loss_weights": loss_weights,
-        },
-    )
-    return RunConfig(
-        synth=synth,
-        dbscan=dbscan_params,
-        refinement=refinement,
-        loss_weights=loss_weights,
-        pipeline=pipeline_cfg,
-        paths=dict(merged["paths"]),
-        resolved=merged,
-    )
+    factories = dict(dbscan=DbscanParams, refinement=RefinementConfig, loss_weights=LossWeights)
+    nested = {name: _build_section(name, f, merged[name]) for name, f in factories.items()}
+    pipeline_cfg = _build_section("pipeline", PipelineConfig, {**merged["pipeline"], **nested})
+    return RunConfig(synth=synth, pipeline=pipeline_cfg, resolved=merged)
 
 
 _OVERRIDE_FLAGS = [
@@ -266,34 +257,35 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, help="seed override")
+        seed_key = "synth.seed" if name == "simgen" else "pipeline.seed"
+        p.add_argument("--seed", type=int, dest=seed_key, metavar="SEED", help="seed override")
         p.add_argument("--out", help="output path (stdout where applicable)")
         if name != "simgen":
             p.add_argument("--bank", help="input feature-bank file")
         if name in ("train", "pipeline"):
             p.add_argument("--model-out", help="model blob output path")
+        # The usage line names each value SECTION__KEY.
         for flag, dotted, typ in _OVERRIDE_FLAGS:
-            p.add_argument(flag, dest=dotted.replace(".", "__"), type=typ, default=None)
+            p.add_argument(flag, dest=dotted, type=typ, metavar=dotted.replace(".", "__").upper())
     return parser
 
 
 def _collect_overrides(args) -> Dict[str, object]:
-    overrides: Dict[str, object] = {}
-    for _, dotted, _ in _OVERRIDE_FLAGS:
-        value = getattr(args, dotted.replace(".", "__"), None)
-        if value is not None:
-            overrides[dotted] = value
-    if args.seed is not None:
-        target = "synth.seed" if args.command == "simgen" else "pipeline.seed"
-        overrides[target] = args.seed
-    return overrides
+    """The dotted key of every override flag given, ``--seed`` included."""
+    return {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
+
+
+def _path(given: Optional[str], cfg: RunConfig, key: str, missing: str) -> str:
+    """``given``, a flag's value, else ``paths.<key>``; a ConfigError when
+    neither is set."""
+    path = given or cfg.resolved["paths"][key]
+    if not path:
+        raise ConfigError(f"{missing} or set paths.{key}")
+    return path
 
 
 def _load_bank(args, cfg: RunConfig) -> FeatureBank:
-    path = args.bank or cfg.paths.get("bank_in")
-    if not path:
-        raise ConfigError("no input bank: pass --bank or set paths.bank_in")
-    return read_feature_bank(path)
+    return read_feature_bank(_path(args.bank, cfg, "bank_in", "no input bank: pass --bank"))
 
 
 # json.dumps's spellings of the non-finite floats, keyed by float.__repr__.
@@ -318,9 +310,7 @@ def _json_floats(values: np.ndarray) -> np.ndarray:
 
 
 def _cmd_simgen(args, cfg: RunConfig) -> int:
-    out = args.out or cfg.paths.get("bank_out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set paths.bank_out")
+    out = _path(args.out, cfg, "bank_out", "no output path: pass --out")
     bank = generate_synthetic_bank(cfg.synth)
     write_feature_bank(bank, out)
     return 0
@@ -398,9 +388,7 @@ def _cmd_refine(args, cfg: RunConfig) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
-    out = args.out or cfg.paths.get("report_out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set paths.report_out")
+    out = _path(args.out, cfg, "report_out", "no output path: pass --out")
     bank = _load_bank(args, cfg)
     model = initial_model(cfg.pipeline, bank)
     feats = project_bank(model, bank)
@@ -409,7 +397,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     trace = training_stage(
         model, bank, feats, heads, result.labels, result.agreement, cfg.pipeline
     )
-    model_out = args.model_out or cfg.paths.get("model_out")
+    model_out = args.model_out or cfg.resolved["paths"]["model_out"]
     if model_out:
         save_model(model, model_out)
     records = [{"config": cfg.echo()}, *trace.iterations, {"warnings": trace.warnings_dict()}]
@@ -418,10 +406,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _cmd_pipeline(args, cfg: RunConfig) -> int:
-    out = args.out or cfg.paths.get("report_out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set paths.report_out")
-    model_out = args.model_out or cfg.paths.get("model_out") or f"{out}.model"
+    out = _path(args.out, cfg, "report_out", "no output path: pass --out")
+    model_out = args.model_out or cfg.resolved["paths"]["model_out"] or f"{out}.model"
     bank = _load_bank(args, cfg)
     run(cfg.pipeline, bank, report_path=out, model_path=model_out, config_echo=cfg.echo())
     return 0

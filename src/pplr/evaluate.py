@@ -185,7 +185,7 @@ def label_quality(labels: np.ndarray, gt_ids: np.ndarray) -> LabelQuality:
     """
     lab = np.asarray(labels)
     gt = np.asarray(gt_ids)
-    if gt is None or lab.shape != gt.shape or lab.ndim != 1:
+    if lab.shape != gt.shape or lab.ndim != 1:
         raise ValueError("labels and gt_ids must be matching 1-D vectors")
     n = lab.size
     if n == 0:

@@ -122,7 +122,7 @@ def write_feature_bank(bank: FeatureBank, path) -> None:
     if flags & FLAG_GT_IDS:
         buf += bank.gt_ids.astype("<u4").tobytes()
 
-    Path(path).write_bytes(bytes(buf))
+    Path(path).write_bytes(buf)
 
 
 def read_feature_bank(path) -> FeatureBank:
@@ -164,7 +164,7 @@ def read_feature_bank(path) -> FeatureBank:
         flat = np.frombuffer(data, dtype="<f4", count=n * dim, offset=offset)
         if not np.isfinite(flat).all():
             raise DataFormatError(f"non-finite entry in the {space} feature payload")
-        mats.append(flat.reshape(n, dim).astype(np.float32))
+        mats.append(flat.reshape(n, dim))
         offset += n * dim * 4
     camera_ids = None
     if flags & FLAG_CAMERA_IDS:

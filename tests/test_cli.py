@@ -11,7 +11,10 @@ import pytest
 from oracles import refine_lines_oracle
 from pplr import neighbors
 from pplr.cli import (
+    _OVERRIDE_FLAGS,
     DEFAULT_CONFIG,
+    _build_parser,
+    _collect_overrides,
     _json_floats,
     _refine_lines,
     _refined_targets,
@@ -58,11 +61,11 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, ""))
         assert cfg.refinement.beta == 0.5
         assert cfg.pipeline.k_agreement == 20
-        assert cfg.dbscan.eps == 0.6
-        assert cfg.dbscan.min_samples == 4
-        assert cfg.loss_weights.tau == 0.07
-        assert cfg.loss_weights.lambda_cam == 0.5
-        assert cfg.loss_weights.n_hard_negatives == 50
+        assert cfg.pipeline.dbscan.eps == 0.6
+        assert cfg.pipeline.dbscan.min_samples == 4
+        assert cfg.pipeline.loss_weights.tau == 0.07
+        assert cfg.pipeline.loss_weights.lambda_cam == 0.5
+        assert cfg.pipeline.loss_weights.n_hard_negatives == 50
         assert cfg.refinement.aals_warmup_epochs == 5
         assert cfg.synth.n_parts == 3
 
@@ -114,6 +117,50 @@ class TestParseConfig:
     def test_non_finite_number_rejected(self, tmp_path, text, key):
         with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
             parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "flag, dotted, typ", _OVERRIDE_FLAGS, ids=[flag for flag, _, _ in _OVERRIDE_FLAGS]
+    )
+    def test_override_flag_sets_its_dotted_key(self, flag, dotted, typ):
+        section, key = dotted.split(".")
+        assert key in DEFAULT_CONFIG.get(section, {})
+        default = DEFAULT_CONFIG[section][key]
+        if typ is str:
+            value = "baseline"
+        elif default is None:
+            value = 0.7
+        else:
+            value = default + 1 if typ is int else default / 2
+        assert value != default
+        args = _build_parser().parse_args(["cluster", flag, str(value)])
+        assert _collect_overrides(args) == {dotted: value}
+        resolved = parse_config(None, _collect_overrides(args)).resolved
+        assert resolved == {**DEFAULT_CONFIG, section: {**DEFAULT_CONFIG[section], key: value}}
+
+    @pytest.mark.parametrize("command, key", [("simgen", "synth.seed"), ("train", "pipeline.seed")])
+    def test_seed_flag_sets_its_commands_key(self, command, key):
+        args = _build_parser().parse_args([command, "--seed", "9", "--beta", "0.3"])
+        assert _collect_overrides(args) == {key: 9, "refinement.beta": 0.3}
+        section, name = key.split(".")
+        assert parse_config(None, _collect_overrides(args)).resolved[section][name] == 9
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"dbscan": {"min_samples": 2.5}}, "dbscan.min_samples: expected integer, got float"),
+            ({"refinement": {"betta": 0.5}}, "unknown key: refinement.betta"),
+            ('{"loss_weights": {"tau": NaN}}',
+             "loss_weights.tau: expected a finite number, got nan"),
+        ],
+        ids=["type-mismatch", "unknown-key", "non-finite"],
+    )
+    def test_file_fault_wins_over_flag_fault(self, tmp_path, capsys, document, message):
+        path = write_config(tmp_path, document)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, {"pipeline.learning_rate": float("nan"), "pipeline.epochs": "x"})
+        assert str(info.value) == message
+        assert main(["simgen", "--config", path, "--lr", "nan", "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_per_part_occlusion_accepted(self, tmp_path):
         path = write_config(tmp_path, {"synth": {"occlusion_fraction": [0.0, 0.0, 1.0]}})
@@ -459,6 +506,61 @@ class TestTinyBanks:
         assert epoch["raw_quality"] is not None
 
 
+class TestDegenerateClusterings:
+    """Every labelling command on the small bank when DBSCAN leaves every
+    sample unclustered (eps 1e-9) or puts all of them in one cluster
+    (eps 5: every Jaccard distance is at most 1)."""
+
+    @pytest.fixture(params=[("1e-9", 0), ("5", 1)], ids=["all-noise", "one-cluster"])
+    def run(self, request, tmp_path, small_bank):
+        config, bank = small_bank
+        eps, k = request.param
+
+        def records(command, *flags):
+            out = tmp_path / f"{command}.jsonl"
+            argv = [command, "--config", config, "--bank", bank, "--eps", eps, "--out", str(out)]
+            assert main([*argv, *flags]) == 0, command
+            return [json.loads(line) for line in out.read_text().splitlines()]
+
+        return records, k
+
+    def test_cluster(self, run):
+        records, k = run
+        rows = records("cluster")
+        assert [r["index"] for r in rows] == list(range(96))
+        assert {r["label"] for r in rows} == ({0} if k else {-1})
+
+    def test_agree(self, run):
+        records, _ = run
+        rows = records("agree")
+        assert [r["index"] for r in rows] == list(range(96))
+        assert all(len(r["scores"]) == 3 and all(0.0 <= s <= 1.0 for s in r["scores"]) for r in rows)
+
+    def test_train(self, run, tmp_path):
+        records, k = run
+        lines = records("train", "--model-out", str(tmp_path / "m.pplm"))
+        assert lines[0]["config"]["dbscan"]["eps"] in (1e-9, 5.0)
+        assert lines[-1]["warnings"]["skipped_stage"] == 1 - k
+        assert len(lines) == 2 + 3 * k
+        assert all(r.keys() == {"aals", "cam", "pglr", "total", "triplet"} for r in lines[1:-1])
+        assert (tmp_path / "m.pplm").exists()
+
+    def test_pipeline(self, run, tmp_path):
+        records, k = run
+        lines = records("pipeline")
+        assert len(lines) == 3 and "config" in lines[0]
+        for epoch, line in enumerate(lines[1:]):
+            assert (line["epoch"], line["k_clusters"], line["n_outliers"]) == (epoch, k, 96 * (1 - k))
+            assert len(line["losses"]) == 3 * k
+        assert (tmp_path / "pipeline.jsonl.model").exists()
+
+    def test_eval(self, run):
+        records, _ = run
+        (payload,) = records("eval")
+        assert set(payload) == {"mAP", "CMC@1", "CMC@5", "CMC@10"}
+        assert 0.0 <= payload["mAP"] <= 1.0
+
+
 def test_identical_row_bank(tmp_path):
     # Every distance is 0, so every neighbour list is a tie broken by index.
     feats = np.tile(np.arange(1.0, 5.0, dtype=np.float32), (12, 1))
@@ -499,8 +601,14 @@ class TestExitCodes:
             ("train", ("--tau", "inf"), None, "loss_weights.tau"),
             ("simgen", ("--spread", "inf"), None, "synth.cluster_spread"),
             ("train", (), '{"refinement": {"beta": NaN}}', "refinement.beta"),
+            # An integer too large for a float once stopped both commands
+            # with an OverflowError traceback.
+            ("simgen", (), '{"synth": {"cluster_spread": 1%s}}' % ("0" * 400), "synth.cluster_spread"),
+            ("train", (), '{"pipeline": {"learning_rate": 1%s}}' % ("0" * 400),
+             "pipeline.learning_rate"),
         ],
-        ids=["lr-nan", "lambda-cam-nan", "tau-inf", "spread-inf", "config-NaN"],
+        ids=["lr-nan", "lambda-cam-nan", "tau-inf", "spread-inf", "config-NaN",
+             "spread-400-digits", "lr-400-digits"],
     )
     def test_non_finite_number_is_2(self, tmp_path, capsys, command, flags, config, key):
         # argparse's float() reads "nan" and "inf", and json.loads reads NaN,

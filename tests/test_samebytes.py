@@ -47,4 +47,4 @@ def test_head_against_itself_on_a_tiny_bank():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip().endswith("19 files compared over 1 banks; 0 differ")
+    assert proc.stdout.strip().endswith("29 files compared over 1 banks; 0 differ")

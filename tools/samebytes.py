@@ -12,9 +12,11 @@ runs ``cluster``, ``agree``, ``refine``, ``eval``, ``train`` and
 ``pipeline`` (plain, ``--constant-alpha 0.7``, ``--mode baseline`` and
 ``--lambda-cam 0``, which builds no camera proxies),
 and ``cluster``, ``agree``, ``refine`` and ``eval`` once more without
-``--out``, saving what they print to stdout. It compares the SHA-256 of
-every file written, bank, outputs, saved stdout and models, and prints
-each file that differs with its two digests.
+``--out``, saving what they print to stdout. Once per tree it also runs
+``ERROR_RUNS``, commands that fail on a bad config file, flag or bank,
+saving what they print to stderr. It compares every exit code and the
+SHA-256 of every file written, bank, outputs, saved stdout and stderr and
+models, and prints each file that differs with its two digests.
 
 Exit status: 0 when every file and every command exit code match, 1 when
 something differs, 2 when a revision cannot be exported.
@@ -27,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tarfile
@@ -93,49 +96,87 @@ COMMANDS = [
 # Commands that also run without --out; their stdout is saved as <command>-stdout.jsonl.
 STDOUT_COMMANDS = ("cluster", "agree", "refine", "eval")
 
-# Runs a list of [pplr argv, stdout path or null] pairs in one interpreter
-# and prints their exit codes.
+# Where the failing commands find their inputs: they run from a tree's
+# output directory, which lies beside configs/, so the paths in their
+# messages are the same for both trees.
+ERROR_INPUTS = "../configs/errors"
+
+# Failing commands: (name, config file text or None, argv).
+ERROR_RUNS = [
+    ("unknown-key", '{"refinement": {"betta": 0.5}}', ["simgen"]),
+    ("type-mismatch", '{"dbscan": {"min_samples": 2.5}}', ["cluster"]),
+    ("config-nan", '{"refinement": {"beta": NaN}}', ["refine"]),
+    ("constraint", '{"refinement": {"beta": 1.5}}', ["train"]),
+    ("invalid-json", "{not json", ["pipeline"]),
+    ("beta-2", None, ["agree", "--beta", "2"]),
+    ("lr-nan", None, ["train", "--lr", "nan"]),
+    ("seed-negative", None, ["simgen", "--seed", "-1"]),
+    ("missing-bank", None, ["cluster", "--bank", f"{ERROR_INPUTS}/missing.pplb"]),
+    ("truncated-bank", None, ["eval", "--bank", f"{ERROR_INPUTS}/truncated.pplb"]),
+]
+
+# A version-1 bank header for 4 samples of dimension 2 with one part
+# space, and 8 of the 64 payload bytes it promises.
+TRUNCATED_BANK = struct.pack("<4sIIIHH", b"PPLB", 1, 4, 2, 1, 0) + bytes(8)
+
+# Runs a list of [pplr argv, stdout path or null, stderr path or null]
+# triples in one interpreter and prints their exit codes.
 _RUNNER = """
 import contextlib, json, sys
 from pplr.cli import main
 
-def run(argv, stdout_path):
-    if stdout_path is None:
-        return main(argv)
-    with open(stdout_path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+def run(argv, stdout_path, stderr_path):
+    with contextlib.ExitStack() as stack:
+        for path, redirect in ((stdout_path, contextlib.redirect_stdout),
+                               (stderr_path, contextlib.redirect_stderr)):
+            if path is not None:
+                fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+                stack.enter_context(redirect(fh))
         return main(argv)
 
-print(json.dumps([run(argv, stdout_path) for argv, stdout_path in json.loads(sys.argv[1])]))
+print(json.dumps([run(*triple) for triple in json.loads(sys.argv[1])]))
 """
 
 
 def write_configs(config_dir: Path, banks) -> None:
-    config_dir.mkdir(parents=True)
+    """The config of every bank, and the inputs of ``ERROR_RUNS`` in its
+    errors/ directory."""
+    (config_dir / "errors").mkdir(parents=True)
     for name in banks:
         (config_dir / f"{name}.json").write_text(json.dumps(BANKS[name]), "utf-8")
+    for name, text, _ in ERROR_RUNS:
+        if text is not None:
+            (config_dir / "errors" / f"{name}.json").write_text(text, "utf-8")
+    (config_dir / "errors" / "truncated.pplb").write_bytes(TRUNCATED_BANK)
 
 
 def matrix(config_dir: Path, out: Path, banks) -> list:
-    """(label, argv, stdout path or None) of every command of the matrix,
-    writing under ``out``."""
-    runs = []
+    """(label, argv, stdout path or None, stderr path or None) of every
+    command of the matrix, writing under ``out``."""
+    (out / "errors").mkdir(parents=True)
+    runs = [
+        (f"errors/{name}",
+         [*argv, *(["--config", f"{ERROR_INPUTS}/{name}.json"] if text is not None else [])],
+         None, str(out / "errors" / f"{name}.stderr"))
+        for name, text, argv in ERROR_RUNS
+    ]
     for name in banks:
         bank_out = out / name
         bank_out.mkdir(parents=True)
         config = config_dir / f"{name}.json"
         bank = bank_out / "bank.pplb"
         simgen = ["simgen", "--config", str(config), "--out", str(bank)]
-        runs.append((f"{name}/simgen", simgen, None))
+        runs.append((f"{name}/simgen", simgen, None, None))
         for stem, command, flags in COMMANDS:
             argv = [command, "--config", str(config), "--bank", str(bank),
                     "--out", str(bank_out / f"{stem}.jsonl"), *flags]
             if command in ("train", "pipeline"):
                 argv += ["--model-out", str(bank_out / f"{stem}.pplm")]
-            runs.append((f"{name}/{stem}", argv, None))
+            runs.append((f"{name}/{stem}", argv, None, None))
         for command in STDOUT_COMMANDS:
             argv = [command, "--config", str(config), "--bank", str(bank)]
             stdout = str(bank_out / f"{command}-stdout.jsonl")
-            runs.append((f"{name}/{command}-stdout", argv, stdout))
+            runs.append((f"{name}/{command}-stdout", argv, stdout, None))
     return runs
 
 
@@ -154,8 +195,8 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def start(tree: Path, runs: list, cwd: Path) -> subprocess.Popen:
-    """Run ``runs``, [argv, stdout path or None] pairs, with the pplr of
-    ``tree`` in one child process."""
+    """Run ``runs``, [argv, stdout path or None, stderr path or None]
+    triples, with the pplr of ``tree`` in one child process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -196,7 +237,7 @@ def main(argv=None) -> int:
         write_configs(tmp / "configs", banks)
         runs = {side: matrix(tmp / "configs", tmp / side, banks) for side in trees}
         procs = {
-            side: start(tree, [[argv, stdout] for _, argv, stdout in runs[side]], tmp / side)
+            side: start(tree, [list(run[1:]) for run in runs[side]], tmp / side)
             for side, tree in trees.items()
         }
         outputs = {side: proc.communicate() for side, proc in procs.items()}
@@ -208,7 +249,7 @@ def main(argv=None) -> int:
         head_digests = digests(tmp / "head")
         differ = compare(digests(tmp / "base"), head_digests)
 
-    labels = [label for label, _, _ in runs["head"]]
+    labels = [run[0] for run in runs["head"]]
     codes_differ = False
     for label, base_code, head_code in zip(labels, codes["base"], codes["head"]):
         if base_code != head_code:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PseudoLabels, _require_finite
-from .neighbors import DistanceMatrix
+from .neighbors import DistanceMatrix, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,24 @@ class DbscanParams:
             raise ValueError("min_samples must be >= 1")
 
 
+def _eps_neighbours(d: np.ndarray, eps: float):
+    """Each row's neighbours within ``eps``, itself excluded, in ascending
+    column order, as compressed rows: row pointers and column indices.
+    Built one row block at a time, so no N x N mask exists."""
+    n = d.shape[0]
+    index_type = np.min_scalar_type(max(n - 1, 0))
+    counts = np.empty(n, dtype=np.intp)
+    cols = [np.zeros(0, dtype=index_type)]  # N = 0 has no block
+    for blk in _row_blocks(n):
+        near = d[blk] <= eps
+        near[np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)] = False
+        # Flat indices, not np.nonzero's pairs: several times faster.
+        rows, block_cols = np.divmod(np.flatnonzero(near), n)
+        counts[blk] = np.bincount(rows, minlength=blk.stop - blk.start)
+        cols.append(block_cols.astype(index_type))
+    return np.concatenate(([0], np.cumsum(counts))), np.concatenate(cols)
+
+
 def dbscan(dist: DistanceMatrix, params: DbscanParams) -> PseudoLabels:
     """Density-based clustering with standard core/border/noise semantics.
 
@@ -40,30 +58,36 @@ def dbscan(dist: DistanceMatrix, params: DbscanParams) -> PseudoLabels:
     eps. Clusters are the connected components of core points under
     eps-reachability; border points attach to the cluster of their
     lowest-indexed core neighbor; everything else is noise (-1).
-    """
-    d = dist.values
-    n = d.shape[0]
-    adjacency = d <= params.eps
-    np.fill_diagonal(adjacency, False)
-    core = adjacency.sum(axis=1) >= params.min_samples
 
-    labels = np.full(n, -1, dtype=np.int64)
+    Region queries read a neighbourhood index, as in Ester et al. (KDD
+    1996): every row's eps-neighbours, ascending, gathered once from row
+    blocks of the matrix. They hold one index per neighbour pair, of at
+    most 2 bytes below 65 536 samples, so they are smaller than an N x N
+    bool mask unless more than half of all pairs lie within eps. The
+    clusters grow breadth first from the core points in index order; each
+    step labels the unlabelled core neighbours of one point.
+    """
+    ptr, cols = _eps_neighbours(dist.values, params.eps)
+    core = np.diff(ptr) >= params.min_samples
+
+    labels = np.full(core.size, -1, dtype=np.int64)
     next_id = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] >= 0:
+    for seed in np.flatnonzero(core):
+        if labels[seed] >= 0:
             continue
         labels[seed] = next_id
         queue = deque([seed])
         while queue:
             p = queue.popleft()
-            reachable = np.flatnonzero(adjacency[p] & core & (labels < 0))
+            near = cols[ptr[p] : ptr[p + 1]]
+            reachable = near[core[near] & (labels[near] < 0)]
             labels[reachable] = next_id
             queue.extend(reachable.tolist())
         next_id += 1
 
-    core_idx = np.flatnonzero(core)
     for j in np.flatnonzero(~core):
-        claimants = core_idx[adjacency[j, core_idx]]
+        near = cols[ptr[j] : ptr[j + 1]]
+        claimants = near[core[near]]
         if claimants.size:
             labels[j] = labels[claimants[0]]
 

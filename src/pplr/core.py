@@ -1,9 +1,10 @@
 """Shared domain types: feature banks, pseudo-labels, ranked lists, agreement scores.
 
 Every container in this module is immutable after construction (frozen
-dataclass holding read-only array copies), so a stage can hand an instance
-to the next without copying it. All validation happens in
-``__post_init__``; an invalid instance cannot exist.
+dataclass holding read-only arrays: copies of what a caller passes, or for
+``FeatureBank._trusted`` the arrays the package has just built), so a
+stage can hand an instance to the next without copying it. All validation
+happens in ``__post_init__``; an invalid instance cannot exist.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values`` itself, frozen in place: for an array that no one else
+    holds a writable reference to."""
+    values.flags.writeable = False
+    return values
+
+
 def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     """Scale every row of a 2-D matrix to unit Euclidean norm.
 
@@ -71,7 +79,7 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
         NumericalError: on non-finite entries or an all-zero row; the
             message names the first offending row.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    m = np.array(matrix, dtype=np.float64)  # the one copy, divided in place
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -81,7 +89,8 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise NumericalError(f"zero-norm row {int(zero[0])}")
-    return m / norms[:, None]
+    m /= norms[:, None]
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +109,8 @@ class FeatureBank:
     gt_ids: Optional[np.ndarray] = None
     normalized: bool = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _copy: bool = True) -> None:
+        freeze = _frozen if _copy else _read_only
         g = np.asarray(self.global_feats)
         if g.ndim != 2 or not np.issubdtype(g.dtype, np.floating):
             raise ValueError("global features must be a 2-D float matrix")
@@ -124,8 +134,8 @@ class FeatureBank:
                     raise ValueError(
                         f"bank flagged normalized but {space_id} rows are not unit-norm"
                     )
-        object.__setattr__(self, "global_feats", _frozen(g))
-        object.__setattr__(self, "part_feats", tuple(_frozen(p) for p in parts))
+        object.__setattr__(self, "global_feats", freeze(g))
+        object.__setattr__(self, "part_feats", tuple(freeze(p) for p in parts))
         for name in ("camera_ids", "gt_ids"):
             vec = getattr(self, name)
             if vec is None:
@@ -133,7 +143,22 @@ class FeatureBank:
             arr = np.asarray(vec)
             if arr.shape != (n,) or not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"{name} must be a length-{n} integer vector")
-            object.__setattr__(self, name, _frozen(arr.astype(np.int64)))
+            object.__setattr__(self, name, freeze(arr.astype(np.int64, copy=False)))
+
+    @classmethod
+    def _trusted(
+        cls, global_feats, part_feats, camera_ids=None, gt_ids=None, normalized=False
+    ) -> "FeatureBank":
+        """A bank over arrays that the caller has just built and hands over,
+        or that another bank holds read-only: checked as by the
+        constructor, then frozen in place instead of copied."""
+        out = object.__new__(cls)
+        vars(out).update(
+            global_feats=global_feats, part_feats=tuple(part_feats),
+            camera_ids=camera_ids, gt_ids=gt_ids, normalized=normalized,
+        )
+        out.__post_init__(_copy=False)
+        return out
 
     @property
     def n_samples(self) -> int:
@@ -155,10 +180,11 @@ class FeatureBank:
 
 
 def normalize_bank(bank: FeatureBank) -> FeatureBank:
-    """A float64 copy of ``bank`` with every feature row L2-normalized."""
-    return FeatureBank(
+    """A float64 copy of ``bank`` with every feature row L2-normalized:
+    one new array per space, shared ids."""
+    return FeatureBank._trusted(
         global_feats=l2_normalize(bank.global_feats),
-        part_feats=tuple(l2_normalize(p) for p in bank.part_feats),
+        part_feats=[l2_normalize(p) for p in bank.part_feats],
         camera_ids=bank.camera_ids,
         gt_ids=bank.gt_ids,
         normalized=True,

@@ -66,6 +66,10 @@ class SynthConfig:
             raise ValueError("cluster_spread and camera_shift must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.n_samples > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"n_identities * samples_per_identity = {self.n_samples} does not fit an array index"
+            )
         for frac in self.occlusion_fractions():
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("occlusion_fraction must lie in [0, 1]")
@@ -211,12 +215,14 @@ def generate_synthetic_bank(cfg: SynthConfig) -> FeatureBank:
 
     # Noise scales by 1/sqrt(dim) so cluster_spread is the expected noise
     # magnitude relative to the unit-norm identity mean, independent of dim.
+    # Each space is cast to float32 as it is drawn; occluded rows are cast
+    # on assignment below, which rounds as astype does.
     spaces = []
     for s in range(n_spaces):
         feats = means[s][gt_ids] + cam_bias[s][camera_ids]
         if cfg.cluster_spread > 0:
-            feats = feats + cfg.cluster_spread * rng.standard_normal((n, dim)) / np.sqrt(dim)
-        spaces.append(feats)
+            feats += cfg.cluster_spread * rng.standard_normal((n, dim)) / np.sqrt(dim)
+        spaces.append(feats.astype(np.float32))
 
     fracs = cfg.occlusion_fractions()
     if np.isscalar(cfg.occlusion_fraction):
@@ -233,9 +239,9 @@ def generate_synthetic_bank(cfg: SynthConfig) -> FeatureBank:
             noise = rng.standard_normal((rows.size, dim)) / np.sqrt(dim)
             spaces[1 + p][rows] = noise
 
-    return FeatureBank(
-        global_feats=spaces[0].astype(np.float32),
-        part_feats=tuple(m.astype(np.float32) for m in spaces[1:]),
+    return FeatureBank._trusted(
+        global_feats=spaces[0],
+        part_feats=spaces[1:],
         camera_ids=camera_ids,
         gt_ids=gt_ids,
     )

@@ -1,14 +1,14 @@
 """Pairwise distances, exact top-k ranked lists, and the k-reciprocal
 Jaccard distance used as the clustering metric.
 
-Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` rows
-or in chunks of ``_CHUNK_TRIPLES`` gathered index triples. A call holds
-its N x N float64 result and block- or chunk-sized temporaries:
-:func:`pairwise_sq_euclidean` and :func:`topk_ranked_lists` one N x N
-matrix; :func:`k_reciprocal_jaccard` one at ``blend_lambda == 0`` (the
-normalized distance is freed once the sparse encoding is built, before
-the output exists) and two otherwise. Only the dense results stand in the
-way of larger banks.
+Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` (32)
+rows or in chunks of ``_CHUNK_TRIPLES`` gathered index triples. A call
+holds its N x N float64 result and block- or chunk-sized temporaries (a
+float64 row block is 0.6 MB at N = 2400): :func:`pairwise_sq_euclidean` and
+:func:`topk_ranked_lists` one N x N matrix; :func:`k_reciprocal_jaccard`
+one at ``blend_lambda == 0`` (the normalized distance is freed once the
+sparse encoding is built, before the output exists) and two otherwise.
+Only the dense results stand in the way of larger banks.
 
 The squared distances are ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` over one
 Gram matrix ``x @ x.T`` of C-contiguous features, which numpy computes as
@@ -32,8 +32,9 @@ index, and when it falls outside the k + 1 the last entry is dropped.
 
 Matrices built here are symmetric, non-negative and zero on the diagonal
 by construction, so they skip the copy and the shape, sign and symmetry
-checks of :class:`DistanceMatrix` and are only checked to be finite; a
-matrix passed in from outside is still checked in full.
+checks of :class:`DistanceMatrix` and are only checked to be finite, one
+row block at a time; a matrix passed in from outside is still checked in
+full.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import NumericalError, RankedLists, _frozen
+from .core import NumericalError, RankedLists, _frozen, _read_only
 
 SYMMETRY_ATOL = 1e-6
 
 # Rows per block of the row-blocked passes: block temporaries stay at
-# _BLOCK_ROWS x N however large N grows.
-_BLOCK_ROWS = 256
+# _BLOCK_ROWS x N however large N grows: 0.6 MB per float64 or index
+# array at N = 2400, small next to the N x N results.
+_BLOCK_ROWS = 32
 
 # Index triples per chunk of the chunked k-reciprocal passes (the set
 # expansion and the sum of minima), and ranked candidates per chunk of
@@ -84,12 +86,13 @@ class DistanceMatrix:
         place, without the copy of ``__post_init__``. Of its checks only
         finiteness remains, the one invariant that construction does not
         guarantee (squared norms can overflow; a k-reciprocal encoding
-        with two empty rows divides 0 by 0)."""
-        if not np.isfinite(values).all():
-            raise NumericalError("non-finite distance entry")
+        with two empty rows divides 0 by 0), checked one row block at a
+        time."""
+        for blk in _row_blocks(values.shape[0]):
+            if not np.isfinite(values[blk]).all():
+                raise NumericalError("non-finite distance entry")
         out = object.__new__(cls)
-        values.flags.writeable = False
-        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "values", _read_only(values))
         return out
 
     @property
@@ -271,7 +274,7 @@ def _query_expansion(
         if k2 > 1:
             dense /= k2
         row_sums[blk] = dense.sum(axis=1)
-        r, c = np.nonzero(dense)
+        r, c = np.divmod(np.flatnonzero(dense), n)  # faster than 2-D np.nonzero
         e_rows.append(r + blk.start)
         e_cols.append(c)
         e_vals.append(dense[r, c])

@@ -203,8 +203,9 @@ def _project_spaces(bank_raw: FeatureBank, projection: np.ndarray, rows=slice(No
             raise NumericalError(
                 f"projection gave {space_id} row {sample} a zero or non-finite norm"
             )
+        v /= nrm[:, None]
         raw.append(x)
-        feats.append(v / nrm[:, None])
+        feats.append(v)
         norms.append(nrm)
     return raw, feats, norms
 
@@ -212,9 +213,9 @@ def _project_spaces(bank_raw: FeatureBank, projection: np.ndarray, rows=slice(No
 def project_bank(model: ToyModel, bank_raw: FeatureBank) -> FeatureBank:
     """Project every raw space through the model and L2-normalize rows."""
     _, mats, _ = _project_spaces(bank_raw, model.projection)
-    return FeatureBank(
+    return FeatureBank._trusted(
         global_feats=mats[0],
-        part_feats=tuple(mats[1:]),
+        part_feats=mats[1:],
         camera_ids=bank_raw.camera_ids,
         gt_ids=bank_raw.gt_ids,
         normalized=True,

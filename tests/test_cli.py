@@ -651,6 +651,39 @@ class TestExitCodes:
         assert main(["simgen", "--config", str(path), "--out", str(tmp_path / "x.pplb")]) == 2
         assert capsys.readouterr().err.startswith("config error: config is not UTF-8")
 
+    def test_integer_past_the_digit_limit_is_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer of more than 4300 digits.
+        config = write_config(tmp_path, '{"synth": {"seed": 1%s}}' % ("0" * 5000))
+        out = tmp_path / "x.pplb"
+        assert main(["simgen", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config cannot be read: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("train", ("--proj-dim", "1" + "0" * 20), "pipeline.proj_dim"),
+            ("simgen", ("--n-identities", "1" + "0" * 20), "synth.n_identities"),
+            ("simgen", ("--n-identities", "4000000000", "--samples-per-identity", "4000000000"),
+             "synth: n_identities * samples_per_identity"),
+        ],
+        ids=["proj-dim", "n-identities", "n-samples-product"],
+    )
+    def test_size_that_is_no_array_dimension_is_2(self, tmp_path, capsys, command, flags, key):
+        # numpy stopped both commands with "Maximum allowed dimension
+        # exceeded", a numerical error.
+        bank = str(tmp_path / "bank.pplb")
+        assert main(["simgen", "--n-identities", "3", "--samples-per-identity", "4",
+                     "--out", bank]) == 0
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *flags]
+        if command != "simgen":
+            argv += ["--bank", bank]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}"), key
+        assert not out.exists()
+
     def test_missing_output_is_2(self):
         assert main(["simgen"]) == 2
 

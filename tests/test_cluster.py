@@ -107,6 +107,23 @@ class TestDbscan:
         ref_labels, _ = dbscan_oracle(d, 1.0, 3)
         assert np.array_equal(labels.labels, ref_labels)
 
+    def test_matches_bruteforce_across_row_blocks(self, small_blocks):
+        # Duplicate rows (distance 0 to their copies), every eps equal to a
+        # stored distance, and min_samples 1, where any point with a
+        # neighbour is core; 31 and 58 rows end on a ragged 9-row block.
+        rng = np.random.default_rng(28)
+        for n in (31, 58):
+            x = rng.standard_normal((n, 2))
+            x[n // 2 :] = x[rng.integers(0, n // 2, size=n - n // 2)]
+            dist = pairwise_sq_euclidean(x)
+            stored = np.unique(dist.values[dist.values > 0])
+            for eps in stored[[2, stored.size // 20, stored.size // 5]]:
+                for min_samples in (1, 2, 4):
+                    got = dbscan(dist, DbscanParams(eps=float(eps), min_samples=min_samples))
+                    ref_labels, ref_k = dbscan_oracle(dist.values, eps, min_samples)
+                    assert got.k_clusters == ref_k, (n, eps, min_samples)
+                    assert np.array_equal(got.labels, ref_labels), (n, eps, min_samples)
+
     def test_params_validated(self):
         with pytest.raises(ValueError):
             DbscanParams(eps=0.0)

@@ -34,6 +34,13 @@ class TestL2Normalize:
         twice = l2_normalize(once)
         assert np.abs(once - twice).max() < 1e-12
 
+    def test_float64_input_is_left_unchanged(self):
+        # The rows are divided in place, in the function's own copy.
+        x = np.array([[3.0, 4.0], [0.0, 5.0]])
+        out = l2_normalize(x)
+        assert not np.shares_memory(out, x)
+        assert x.tolist() == [[3.0, 4.0], [0.0, 5.0]]
+
     def test_direction_preserved(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((50, 5))
@@ -78,6 +85,18 @@ class TestFeatureBank:
         bank = self._bank()
         with pytest.raises(ValueError):
             bank.global_feats[0, 0] = 7.0
+
+    def test_built_banks_are_checked_and_frozen_in_place(self):
+        # normalize_bank hands the bank its new arrays instead of copying
+        # them, and shares the read-only ids of its input.
+        bank = self._bank(camera_ids=np.arange(6))
+        normalized = normalize_bank(bank)
+        assert normalized.camera_ids is bank.camera_ids
+        for _, m in normalized.spaces():
+            with pytest.raises(ValueError):
+                m[0, 0] = 7.0
+        with pytest.raises(ValueError, match="not unit-norm"):
+            FeatureBank._trusted(np.ones((6, 3)), [np.ones((6, 3))], normalized=True)
 
     def test_spaces_ordering(self):
         bank = self._bank()

@@ -14,7 +14,8 @@ from oracles import (
     sq_euclidean_dense_oracle,
 )
 from pplr import neighbors
-from pplr.core import NumericalError, l2_normalize
+from pplr.cluster import DbscanParams, dbscan
+from pplr.core import NumericalError, l2_normalize, normalize_bank
 from pplr.ingest import SynthConfig, generate_synthetic_bank
 from pplr.neighbors import (
     DistanceMatrix,
@@ -23,6 +24,7 @@ from pplr.neighbors import (
     pairwise_sq_euclidean,
     topk_ranked_lists,
 )
+from pplr.pipeline import PipelineConfig, agreement_scores
 
 
 def stable_topk_reference(values, k):
@@ -328,6 +330,18 @@ class TestAcrossRowBlocks:
     def test_k_reciprocal_bit_exact_against_loop_oracle(self, small_blocks):
         TestKReciprocalJaccard().test_bit_exact_against_loop_oracle()
 
+    def test_a_nan_in_the_last_ragged_block_is_found(self, small_blocks):
+        values = np.zeros((31, 31))
+        values[30, 5] = np.nan  # rows 27-30 form the last block, of 4 rows
+        with pytest.raises(NumericalError, match="non-finite distance entry"):
+            DistanceMatrix._trusted(values)
+
+    def test_overflowing_features_raise_numerical_error(self, small_blocks):
+        x = np.zeros((31, 2))
+        x[30, 0] = 1e200  # its squared norm overflows, in the last block
+        with pytest.raises(NumericalError, match="non-finite distance entry"):
+            pairwise_sq_euclidean(x)
+
 
 def sums_of_minima_by_column(col_ptr, col_rows, col_vals, n):
     """The per-column form of the sum of minima: one ``np.add.at`` of a
@@ -425,12 +439,20 @@ def test_memory_stays_within_a_few_n_by_n_matrices():
     # holds the normalized distance until the encoding is built and, at
     # lambda = 0, frees it before the output exists; at lambda > 0 both
     # live to the end. Add row-block, chunk and sparse-encoding
-    # temporaries; the dense form held about 11 matrices.
-    x = l2_normalize(generate_synthetic_bank(SynthConfig(seed=7, n_identities=32)).global_feats)
+    # temporaries; the dense form held about 11 matrices. The other bounds
+    # are the measured peaks (pairwise 1.09 matrices, top-k 0.13, DBSCAN
+    # 0.04, agreement 1.22) plus 0.05 matrices, one 32-row block of
+    # float64, rounded up: a full N x N bool or index temporary in any of
+    # them breaks its bound.
+    bank = generate_synthetic_bank(SynthConfig(seed=7, n_identities=32))
+    x = l2_normalize(bank.global_feats)
     matrix = x.shape[0] ** 2 * 8
     dist = pairwise_sq_euclidean(x)
-    k_reciprocal_jaccard(x)  # first call: numpy imports helper modules once
+    jaccard = k_reciprocal_jaccard(x)  # first call: numpy imports helper modules once
     assert traced_peak(k_reciprocal_jaccard, x, 30, 6, 0.0) <= 2 * matrix
     assert traced_peak(k_reciprocal_jaccard, x, 30, 6, 0.5) <= 3 * matrix
-    assert traced_peak(pairwise_sq_euclidean, x) <= 1.5 * matrix
-    assert traced_peak(topk_ranked_lists, dist, 20) <= 1.5 * matrix
+    assert traced_peak(pairwise_sq_euclidean, x) <= 1.15 * matrix
+    assert traced_peak(topk_ranked_lists, dist, 20) <= 0.18 * matrix
+    assert traced_peak(dbscan, jaccard, DbscanParams()) <= 0.09 * matrix
+    normalized, cfg = normalize_bank(bank), PipelineConfig()
+    assert traced_peak(agreement_scores, normalized, cfg) <= 1.3 * matrix

@@ -12,7 +12,8 @@ pipeline stage.
 Exit codes: 0 success, 2 config error (including a bank the command
 cannot use, such as one where no query has a cross-camera positive for
 ``eval``), 3 data-format or file error (a NaN or infinity in any space
-of a bank file included), 4 runtime numerical error.
+of a bank file included), 4 runtime numerical error or an allocation
+that fails (a size that fits ``np.intp`` but not in memory).
 
 Every JSON-lines output, ``pipeline``'s report included, goes through one
 writer, ``pipeline.write_lines``. It streams the lines to ``--out`` (or
@@ -468,6 +469,9 @@ def main(argv=None) -> int:
         return 3
     except (NumericalError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return 4
 
 

@@ -8,7 +8,7 @@ from typing import Dict
 import numpy as np
 
 from .core import NoValidQueryError
-from .neighbors import _chunks, _row_blocks
+from .neighbors import _chunks, _ranked, _row_blocks
 
 DEFAULT_RANKS = (1, 5, 10)
 
@@ -83,12 +83,13 @@ def map_cmc(
     identity, so only they are tested for a shared camera and a largest
     distance. Within a block the queries are cut into chunks whose kept
     candidates fit ``_CHUNK_TRIPLES`` (see :func:`pplr.neighbors._chunks`),
-    and each chunk is ranked by a stable sort on distance and then a
-    stable sort on the query. CMC reads each query's first
-    positive. AP reads its positives' ranks: the precisions of all queries
-    with the same number of positives are summed as the rows of one 2-D
-    array, which gives each query the bits of a 1-D sum of its own
-    precisions, and mAP averages the APs in query order.
+    and each chunk is ranked by :func:`pplr.neighbors._ranked`, the
+    routine of the top-k lists: a stable sort on distance, then a stable
+    sort on the query. CMC reads each query's first positive. AP reads
+    its positives' ranks: the precisions of all queries with the same
+    number of positives are summed as the rows of one 2-D array, which
+    gives each query the bits of a 1-D sum of its own precisions, and mAP
+    averages the APs in query order.
 
     Raises:
         NoValidQueryError: when every query is excluded.
@@ -133,14 +134,8 @@ def map_cmc(
         kept = dist <= far[:, None]
         kept[id_rows[junk], id_cols[junk]] = False
         for sub in _chunks(np.cumsum(np.count_nonzero(kept, axis=1))):
-            rows, cols = np.divmod(np.flatnonzero(kept[sub]), g.shape[0])
-            # Rows ascending, then distance, then gallery index: a stable
-            # sort by distance, then a stable (radix) sort by row. The rows
-            # are already sorted, so ``rows[order]`` is ``rows``.
-            order = np.argsort(dist[sub][rows, cols], kind="stable")
-            by_row = rows[order].astype(np.min_scalar_type(sub.stop - sub.start))
-            order = order[np.argsort(by_row, kind="stable")]
-            hits = np.flatnonzero(g_ids[cols[order]] == q_ids[blk][sub][rows])
+            rows, cols = _ranked(dist[sub], kept[sub])
+            hits = np.flatnonzero(g_ids[cols] == q_ids[blk][sub][rows])
             starts = np.searchsorted(rows, np.arange(sub.stop - sub.start))
             hit_rows = rows[hits]
             n_pos.append(np.bincount(hit_rows, minlength=sub.stop - sub.start))

@@ -181,12 +181,9 @@ def read_feature_bank(path) -> FeatureBank:
         gt_ids = np.frombuffer(data, dtype="<u4", count=n, offset=offset).astype(
             np.int64
         )
-    return FeatureBank(
-        global_feats=mats[0],
-        part_feats=tuple(mats[1:]),
-        camera_ids=camera_ids,
-        gt_ids=gt_ids,
-    )
+    # The matrices are read-only views of ``data``, which nothing else
+    # holds, so the bank keeps them instead of copying each once more.
+    return FeatureBank._trusted(mats[0], mats[1:], camera_ids, gt_ids)
 
 
 def _unit_rows(rng: np.random.Generator, shape) -> np.ndarray:

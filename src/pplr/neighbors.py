@@ -19,16 +19,17 @@ is done. The Gram matrix is taken in one call, not per row block: a
 block product ``x[rows] @ x.T`` is a general product, which BLAS may
 round differently in the last bit (OpenBLAS does for small blocks).
 
-Ranking never sorts a whole row. :func:`_stable_topk` takes each row's k
-smallest entries with ``np.argpartition``, sorts them by column index and
-then stably by value, so equal values keep the smaller index first,
-exactly as in a stable argsort of the full row. Where more than k entries
-lie at or below the k-th value (ties at the cut-off), the partition's
-choice among the tied entries is arbitrary, so those rows instead keep
-every such entry and stable-sort them all. :func:`topk_ranked_lists`
-ranks k + 1 entries of each row as stored and drops the row's own index;
-with duplicate rows that index can sit behind equal neighbours of smaller
-index, and when it falls outside the k + 1 the last entry is dropped.
+Ranking never sorts a whole row. :func:`_ranked` orders a mask's entries
+of a row block as a stable argsort of each row would, equal values with
+the smaller index first: a stable sort of the selected values, then a
+stable radix sort by their small-integer row. :func:`_stable_topk` ranks
+every entry at or below each row's k-th smallest value (from
+``np.partition``), ties at that cut-off included, and keeps the first k;
+``map_cmc`` ranks each query's kept gallery entries the same way.
+:func:`topk_ranked_lists` ranks k + 1 entries of each row as stored and
+drops the row's own index; with duplicate rows that index can sit behind
+equal neighbours of smaller index, and when it falls outside the k + 1
+the last entry is dropped.
 
 Matrices built here are symmetric, non-negative and zero on the diagonal
 by construction, so they skip the copy and the shape, sign and symmetry
@@ -130,27 +131,26 @@ def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix._trusted(d)
 
 
+def _ranked(values: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The entries of ``values`` where ``mask`` is set, as (rows, columns):
+    rows ascending, and each row's columns in the order of a stable argsort
+    of its selected values (ties to the smaller column). A stable sort by
+    value, then a stable (radix) sort by the small-integer row; the rows
+    are already sorted, so they come back as found."""
+    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    order = np.argsort(values[rows, cols], kind="stable")
+    by_row = rows[order].astype(np.min_scalar_type(mask.shape[0]))
+    return rows, cols[order[np.argsort(by_row, kind="stable")]]
+
+
 def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of ``np.argsort(values, axis=1, kind="stable")``,
-    found without sorting whole rows (1 <= k <= number of columns)."""
-    top = np.argpartition(values, k - 1, axis=1)[:, :k]
-    top.sort(axis=1)
-    top_values = np.take_along_axis(values, top, axis=1)
-    kth = top_values.max(axis=1)
-    ties = np.flatnonzero(np.count_nonzero(values <= kth[:, None], axis=1) > k)
-    top = np.take_along_axis(top, np.argsort(top_values, axis=1, kind="stable"), axis=1)
-    if ties.size:
-        top[ties] = _stable_topk_of_ties(values[ties], kth[ties], k)
-    return top
-
-
-def _stable_topk_of_ties(values: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_stable_topk` of rows with more than k entries at or below
-    their k-th smallest value ``kth``: every such entry, stable-sorted."""
-    rows, cols = np.nonzero(values <= kth[:, None])
-    order = np.lexsort((values[rows, cols], rows))
+    found without sorting whole rows (1 <= k <= number of columns): every
+    entry at or below its row's k-th smallest value, ranked."""
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+    rows, cols = _ranked(values, values <= kth[:, None])
     starts = np.searchsorted(rows, np.arange(values.shape[0]))
-    return cols[order][starts[:, None] + np.arange(k)]
+    return cols[starts[:, None] + np.arange(k)]
 
 
 def topk_ranked_lists(dist: DistanceMatrix, k: int) -> RankedLists:
@@ -230,7 +230,7 @@ def _expanded_sets(
         overlap = np.bincount(pair[member[local[pair], h_cols[pos]]], minlength=qs.size)
         taken = (3 * overlap >= 2 * (h_ptr[qs + 1] - h_ptr[qs]))[pair]
         member[local[pair[taken]], h_cols[pos[taken]]] = True
-        r, c = np.nonzero(member)
+        r, c = np.divmod(np.flatnonzero(member), n)
         rows.append(r + blk.start)
         cols.append(c)
     return np.concatenate(rows), np.concatenate(cols)

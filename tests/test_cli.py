@@ -773,6 +773,18 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical error: "), proc.stderr
 
+    def test_failed_allocation_is_4(self, tmp_path, capsys):
+        # proj_dim fits np.intp, but the projection needs 466 TiB: more than
+        # the address space, so numpy refuses it without allocating.
+        bank = str(tmp_path / "bank.pplb")
+        assert main(["simgen", "--out", bank]) == 0
+        out = tmp_path / "t.jsonl"
+        argv = ["train", "--bank", bank, "--out", str(out), "--proj-dim", "1000000000000"]
+        assert main(argv) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("memory error: "), lines
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 4, "--n-cameras", "1")], ids=["one-sample", "one-camera"]
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,28 @@ class TestFileFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match=f"non-finite entry in the {name} feature"):
             read_feature_bank(path)
+
+
+    def test_read_holds_the_file_once(self, tmp_path):
+        # The 1800-sample, 6-part bank of perfbench's label workload. The
+        # bank keeps the parsed views of the file's bytes: its peak is the
+        # file plus one space's finiteness mask (1.05 x the file), where a
+        # copy of every matrix would be about 2 x.
+        cfg = SynthConfig(
+            cluster_spread=0.7, n_identities=90, n_parts=6,
+            occlusion_fraction=[0.2] * 5 + [1.0],
+        )
+        path = tmp_path / "bank.pplb"
+        write_feature_bank(generate_synthetic_bank(cfg), path)
+        tracemalloc.start()
+        try:
+            bank = read_feature_bank(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size
+        assert not bank.global_feats.flags.writeable
+        assert not any(p.flags.writeable for p in bank.part_feats)
 
 
 class TestGenerator:

@@ -227,6 +227,23 @@ def test_stable_topk_with_ties_at_the_cut_off_and_infinities(k):
     assert np.array_equal(_stable_topk(values, k), stable_topk_reference(values, k))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranked_matches_a_masked_stable_argsort(data):
+    # Small integers tie, +inf entries rank last, and one row selects
+    # nothing, as a map_cmc query without a positive.
+    shape = data.draw(st.tuples(st.integers(1, 10), st.integers(1, 12)), label="shape")
+    elements = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
+    values = data.draw(arrays(np.float64, shape, elements=elements), label="values")
+    mask = data.draw(arrays(np.bool_, shape), label="mask")
+    mask[data.draw(st.integers(0, shape[0] - 1), label="empty row")] = False
+    rows, cols = neighbors._ranked(values, mask)
+    order = np.argsort(values, axis=1, kind="stable")
+    selected = np.take_along_axis(mask, order, axis=1)
+    assert np.array_equal(rows, np.repeat(np.arange(shape[0]), selected.sum(axis=1)))
+    assert np.array_equal(cols, order[selected])
+
+
 def two_blob_features(rng, n_a=5, n_b=5, dim=4, gap=8.0, spread=0.05):
     a = rng.standard_normal((n_a, dim)) * spread
     b = rng.standard_normal((n_b, dim)) * spread

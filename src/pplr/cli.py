@@ -10,10 +10,11 @@ pipeline stage.
     pplr eval     --bank bank.pplb
 
 Exit codes: 0 success, 2 config error (including a bank the command
-cannot use, such as one where no query has a cross-camera positive for
-``eval``), 3 data-format or file error (a NaN or infinity in any space
-of a bank file included), 4 runtime numerical error or an allocation
-that fails (a size that fits ``np.intp`` but not in memory).
+cannot use, such as one without gt ids or camera ids, or where no query
+has a cross-camera positive, for ``eval``), 3 data-format or file error
+(a NaN or infinity in any space of a bank file included), 4 runtime
+numerical error or an allocation that fails (a size that fits
+``np.intp`` but not in memory).
 
 Every JSON-lines output, ``pipeline``'s report included, goes through one
 writer, ``pipeline.write_lines``. It streams the lines to ``--out`` (or
@@ -426,9 +427,9 @@ def _cmd_pipeline(args, cfg: RunConfig) -> int:
 def _cmd_eval(args, cfg: RunConfig) -> int:
     bank = _load_bank(args, cfg)
     if bank.gt_ids is None:
-        raise DataFormatError("bank carries no gt ids; eval requires ground truth")
+        raise ConfigError("bank carries no gt ids; eval requires ground truth")
     if bank.camera_ids is None:
-        raise DataFormatError("bank carries no camera ids; eval is cross-camera")
+        raise ConfigError("bank carries no camera ids; eval is cross-camera")
     global_feats = l2_normalize(bank.global_feats)
     result = map_cmc(
         global_feats,

@@ -8,7 +8,7 @@ from typing import Dict
 import numpy as np
 
 from .core import NoValidQueryError
-from .neighbors import _chunks, _ranked, _row_blocks
+from .neighbors import _ranges, _ranked, _row_blocks, _segment_sums
 
 DEFAULT_RANKS = (1, 5, 10)
 
@@ -76,22 +76,21 @@ def map_cmc(
     trailing non-matches).
 
     Queries are ranked one block of rows at a time (see
-    :func:`pplr.neighbors._row_blocks`): the call holds a block's distance
-    and mask arrays, never a query x gallery matrix, and each block's
-    arrays are freed before the next block is ranked. A query's
-    same-identity gallery entries are read from the gallery sorted by
-    identity, so only they are tested for a shared camera and a largest
-    distance. Within a block the queries are cut into chunks whose kept
-    candidates fit ``_CHUNK_TRIPLES`` (see :func:`pplr.neighbors._chunks`),
-    and each chunk is ranked by :func:`pplr.neighbors._ranked`, the
-    routine of the top-k lists: a stable sort on distance, then a stable
-    sort on the query. CMC reads each query's first positive. AP reads
-    its positives' ranks: the precisions of all queries with the same
-    number of positives are summed as the rows of one 2-D array, which
-    gives each query the bits of a 1-D sum of its own precisions, and mAP
-    averages the APs in query order.
+    :func:`pplr.neighbors._row_blocks`): the call holds one block's
+    distance and mask arrays, at most ``_BLOCK_ROWS`` x gallery kept
+    candidates, never a query x gallery matrix. A query's same-identity
+    gallery entries are one range of the gallery sorted by identity (see
+    :func:`pplr.neighbors._ranges`), so only they are tested for a shared
+    camera and a largest distance. Each block is ranked by
+    :func:`pplr.neighbors._ranked`, the routine of the top-k lists: a
+    stable sort on distance, then a stable sort on the query. CMC reads
+    each query's first positive. AP reads its positives' ranks: each
+    query's precisions are summed in rank order with the bits of a 1-D
+    sum (:func:`pplr.neighbors._segment_sums`), and mAP averages the APs
+    in query order.
 
     Raises:
+        ValueError: when an id or camera vector's length is not its side's count.
         NoValidQueryError: when every query is excluded.
     """
     q = np.asarray(query_feats, dtype=np.float64)
@@ -102,6 +101,8 @@ def map_cmc(
     g_cams = np.asarray(gallery_cams)
     if q.shape[0] != q_ids.size or g.shape[0] != g_ids.size:
         raise ValueError("feature/id count mismatch")
+    if q_cams.size != q_ids.size or g_cams.size != g_ids.size:
+        raise ValueError("feature/camera count mismatch")
 
     sq_q = np.einsum("ij,ij->i", q, q)
     sq_g = np.einsum("ij,ij->i", g, g)
@@ -113,10 +114,7 @@ def map_cmc(
     # Per query, its number of positives; per positive, in query order and
     # then rank order, its 0-based rank in the query's ranked gallery.
     n_pos, ranks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-
-    def rank_block(blk: slice) -> None:
-        """Append the positive counts and ranks of the block's queries,
-        same-identity same-camera entries removed."""
+    for blk in _row_blocks(q.shape[0]):
         # Squared distances rank identically to Euclidean ones.
         dist = q[blk] @ g.T
         dist *= 2.0
@@ -125,24 +123,19 @@ def map_cmc(
         # those that share its camera are junk, the rest its positives.
         lo = np.searchsorted(sorted_ids, q_ids[blk], side="left")
         sizes = np.searchsorted(sorted_ids, q_ids[blk], side="right") - lo
-        id_rows = np.repeat(np.arange(lo.size), sizes)
-        offsets = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        id_cols = by_id[offsets + np.arange(id_rows.size)]
+        id_rows, pos = _ranges(lo, sizes)
+        id_cols = by_id[pos]
         junk = q_cams[blk][id_rows] == g_cams[id_cols]
         far = np.full(lo.size, -np.inf)
         np.maximum.at(far, id_rows[~junk], dist[id_rows[~junk], id_cols[~junk]])
         kept = dist <= far[:, None]
         kept[id_rows[junk], id_cols[junk]] = False
-        for sub in _chunks(np.cumsum(np.count_nonzero(kept, axis=1))):
-            rows, cols = _ranked(dist[sub], kept[sub])
-            hits = np.flatnonzero(g_ids[cols] == q_ids[blk][sub][rows])
-            starts = np.searchsorted(rows, np.arange(sub.stop - sub.start))
-            hit_rows = rows[hits]
-            n_pos.append(np.bincount(hit_rows, minlength=sub.stop - sub.start))
-            ranks.append(hits - starts[hit_rows])
-
-    for blk in _row_blocks(q.shape[0]):
-        rank_block(blk)
+        rows, cols = _ranked(dist, kept)
+        hits = np.flatnonzero(g_ids[cols] == q_ids[blk][rows])
+        starts = np.searchsorted(rows, np.arange(lo.size))
+        hit_rows = rows[hits]
+        n_pos.append(np.bincount(hit_rows, minlength=lo.size))
+        ranks.append(hits - starts[hit_rows])
     n_pos, ranks = np.concatenate(n_pos), np.concatenate(ranks)
     valid = n_pos > 0
     n_valid = int(np.count_nonzero(valid))
@@ -154,13 +147,8 @@ def map_cmc(
     # over its rank, both counted from 1.
     ordinal = np.arange(ranks.size) - np.repeat(firsts, n_pos)
     precision = (ordinal + 1) / (ranks + 1)
-    # AP sums each query's precisions in rank order: queries with equal
-    # positive counts as the rows of one 2-D array, whose row sums have the
-    # bits of a 1-D sum of each row.
-    aps = np.empty(n_valid)
-    for count in np.unique(n_pos):
-        group = np.flatnonzero(n_pos == count)
-        aps[group] = precision[firsts[group, None] + np.arange(count)].sum(axis=1) / count
+    # AP: the 1-D sum of each query's precisions in rank order.
+    aps = _segment_sums(precision, firsts, n_pos) / n_pos
     first_hit = ranks[firsts]
     return RetrievalResult(
         map=float(np.mean(aps)),

@@ -2,12 +2,14 @@
 Jaccard distance used as the clustering metric.
 
 Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` (32)
-rows or in chunks of ``_CHUNK_TRIPLES`` gathered index triples. A call
-holds its N x N float64 result and block- or chunk-sized temporaries (a
-float64 row block is 0.6 MB at N = 2400): :func:`pairwise_sq_euclidean` and
-:func:`topk_ranked_lists` one N x N matrix; :func:`k_reciprocal_jaccard`
-one at ``blend_lambda == 0`` (the normalized distance is freed once the
-sparse encoding is built, before the output exists) and two otherwise.
+rows, which :func:`_stable_topk` takes itself, or, in the k-reciprocal set
+expansion and sum of minima, in chunks of ``_CHUNK_TRIPLES`` gathered
+index triples. A call holds its N x N float64 result and block- or
+chunk-sized temporaries (a float64 row block is 0.6 MB at N = 2400):
+:func:`pairwise_sq_euclidean` and :func:`topk_ranked_lists` one N x N
+matrix; :func:`k_reciprocal_jaccard` one at ``blend_lambda == 0`` (the
+normalized distance is freed once the sparse encoding is built, before
+the output exists) and two otherwise.
 Only the dense results stand in the way of larger banks.
 
 The squared distances are ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` over one
@@ -25,7 +27,9 @@ the smaller index first: a stable sort of the selected values, then a
 stable radix sort by their small-integer row. :func:`_stable_topk` ranks
 every entry at or below each row's k-th smallest value (from
 ``np.partition``), ties at that cut-off included, and keeps the first k;
-``map_cmc`` ranks each query's kept gallery entries the same way.
+``map_cmc`` ranks each query's kept gallery entries the same way, and
+shares the range expansion :func:`_ranges` and the sums with the bits of
+a 1-D sum :func:`_segment_sums` with the k-reciprocal encoding.
 :func:`topk_ranked_lists` ranks k + 1 entries of each row as stored and
 drops the row's own index; with duplicate rows that index can sit behind
 equal neighbours of smaller index, and when it falls outside the k + 1
@@ -55,9 +59,8 @@ SYMMETRY_ATOL = 1e-6
 _BLOCK_ROWS = 32
 
 # Index triples per chunk of the chunked k-reciprocal passes (the set
-# expansion and the sum of minima), and ranked candidates per chunk of
-# map_cmc's queries: chunk temporaries stay under 1 MB however large N
-# grows. At N = 2400, chunks of 2^16 and more were slower.
+# expansion and the sum of minima): chunk temporaries stay under 1 MB
+# however large N grows. At N = 2400, chunks of 2^16 and more were slower.
 _CHUNK_TRIPLES = 1 << 14
 
 
@@ -145,12 +148,17 @@ def _ranked(values: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of ``np.argsort(values, axis=1, kind="stable")``,
-    found without sorting whole rows (1 <= k <= number of columns): every
-    entry at or below its row's k-th smallest value, ranked."""
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
-    rows, cols = _ranked(values, values <= kth[:, None])
-    starts = np.searchsorted(rows, np.arange(values.shape[0]))
-    return cols[starts[:, None] + np.arange(k)]
+    found without sorting whole rows (1 <= k <= number of columns), one
+    row block at a time: every entry at or below its row's k-th smallest
+    value, ranked."""
+    top = np.empty((values.shape[0], k), dtype=np.intp)
+    for blk in _row_blocks(values.shape[0]):
+        block = values[blk]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        rows, cols = _ranked(block, block <= kth[:, None])
+        starts = np.searchsorted(rows, np.arange(block.shape[0]))
+        top[blk] = cols[starts[:, None] + np.arange(k)]
+    return top
 
 
 def topk_ranked_lists(dist: DistanceMatrix, k: int) -> RankedLists:
@@ -159,25 +167,32 @@ def topk_ranked_lists(dist: DistanceMatrix, k: int) -> RankedLists:
     n = dist.n_samples
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N; got k={k}, N={n}")
-    lists = np.empty((n, k), dtype=np.intp)
-    for blk in _row_blocks(n):
-        # The first k + 1 of each row without its own index; where
-        # duplicates of smaller index push that index out, the last entry.
-        top = _stable_topk(dist.values[blk], k + 1)
-        drop = top == np.arange(blk.start, blk.stop)[:, None]
-        drop[~drop.any(axis=1), k] = True
-        lists[blk] = top[~drop].reshape(-1, k)
-    return RankedLists(lists=lists)
+    top = _stable_topk(dist.values, k + 1)
+    keep = top != np.arange(n)[:, None]
+    keep[keep.all(axis=1), k] = False  # own index pushed out: drop the last
+    top = top[keep].reshape(n, k)  # rebound: the k + 1 columns are freed here
+    return RankedLists(lists=top)
 
 
-def _gather(ptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Over every stored entry of the compressed rows ``rows`` (row pointers
-    ``ptr``), in row order: the position in ``rows`` and the storage index."""
-    lengths = ptr[rows + 1] - ptr[rows]
-    which = np.repeat(np.arange(rows.size), lengths)
-    pos = np.repeat(ptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Over every index of the ranges ``s .. s + l - 1`` (start s, length
+    l), range by range: the range's position in ``starts`` and the index."""
+    which = np.repeat(np.arange(starts.size), lengths)
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     pos += np.arange(pos.size)
     return which, pos
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[s:s + l].sum()`` for each start s and length l, 0.0 for an
+    empty range, with the bits of that 1-D sum: the ranges of one length
+    are summed as the rows of one 2-D array, whose row sums have the bits
+    of each row's own 1-D sum."""
+    sums = np.zeros(starts.size)
+    for length in np.unique(lengths[lengths > 0]):
+        group = np.flatnonzero(lengths == length)
+        sums[group] = values[starts[group, None] + np.arange(length)].sum(axis=1)
+    return sums
 
 
 def _pointers(sorted_rows: np.ndarray, n: int) -> np.ndarray:
@@ -217,18 +232,19 @@ def _expanded_sets(
     many rows as fit ``_CHUNK_TRIPLES`` (row, member, candidate) triples."""
     h_rows, h_cols = np.divmod(recip_half, n)
     h_ptr = _pointers(h_rows, n)
+    h_len = np.diff(h_ptr)
     r_rows, r_cols = np.divmod(recip, n)
     r_ptr = _pointers(r_rows, n)
-    triples = np.concatenate(([0], np.cumsum(np.diff(h_ptr)[r_cols])))
+    triples = np.concatenate(([0], np.cumsum(h_len[r_cols])))
     rows, cols = [], []
     for blk in _chunks(triples[r_ptr[1:]]):
         span = slice(r_ptr[blk.start], r_ptr[blk.stop])
         local, qs = r_rows[span] - blk.start, r_cols[span]
         member = np.zeros((blk.stop - blk.start, n), dtype=bool)
         member[local, qs] = True
-        pair, pos = _gather(h_ptr, qs)
+        pair, pos = _ranges(h_ptr[qs], h_len[qs])
         overlap = np.bincount(pair[member[local[pair], h_cols[pos]]], minlength=qs.size)
-        taken = (3 * overlap >= 2 * (h_ptr[qs + 1] - h_ptr[qs]))[pair]
+        taken = (3 * overlap >= 2 * h_len[qs])[pair]
         member[local[pair[taken]], h_cols[pos[taken]]] = True
         r, c = np.divmod(np.flatnonzero(member), n)
         rows.append(r + blk.start)
@@ -245,12 +261,8 @@ def _encoding(dist: np.ndarray, rank: np.ndarray, k1: int) -> Tuple[np.ndarray, 
     rows, cols = _expanded_sets(recip, recip_half, n)
     ptr = _pointers(rows, n)
     vals = np.exp(-dist[rows, cols])
-    # Normalized one encoding length at a time: each row sum of a 2-D
-    # array has the bits of the 1-D sum of that row's weights.
     lengths = np.diff(ptr)
-    for length in np.unique(lengths[lengths > 0]):
-        seg = ptr[np.flatnonzero(lengths == length), None] + np.arange(length)
-        vals[seg] /= vals[seg].sum(axis=1, keepdims=True)
+    vals /= np.repeat(_segment_sums(vals, ptr[:-1], lengths), lengths)
     return ptr, cols, vals
 
 
@@ -262,6 +274,7 @@ def _query_expansion(
     columns: column pointers, row indices (ascending within a column) and
     weights."""
     ptr, cols, vals = encoding
+    lengths = np.diff(ptr)
     n = rank.shape[0]
     row_sums = np.empty(n)
     e_rows, e_cols, e_vals = [], [], []
@@ -269,7 +282,7 @@ def _query_expansion(
         sources = rank[blk, :k2].T if k2 > 1 else [np.arange(blk.start, blk.stop)]
         dense = np.zeros((blk.stop - blk.start, n))
         for src in sources:
-            which, pos = _gather(ptr, src)
+            which, pos = _ranges(ptr[src], lengths[src])
             dense[which, cols[pos]] += vals[pos]
         if k2 > 1:
             dense /= k2
@@ -393,9 +406,8 @@ def k_reciprocal_jaccard(
     rows, one division by k2, then a pairwise row sum over all N columns,
     the bits of ``v.sum(axis=1)`` over the dense matrix.
 
-    The weights of step 3 are normalized one encoding length at a time:
-    the rows of that length form one 2-D array, whose row sums have the
-    bits of each row's own 1-D sum.
+    The weights of step 3 are divided by their row's sum, which has the
+    bits of that row's own 1-D sum (see :func:`_segment_sums`).
 
     The sum of minima in step 5 is accumulated into the output buffer from
     a column-major copy of V: column m adds the outer product of minima of
@@ -426,9 +438,7 @@ def k_reciprocal_jaccard(
     dmax = dist.max()
     if dmax > 0:
         dist /= dmax
-    rank = np.empty((n, k1 + 1), dtype=np.intp)
-    for blk in _row_blocks(n):
-        rank[blk] = _stable_topk(dist[blk], k1 + 1)
+    rank = _stable_topk(dist, k1 + 1)
     encoding = _encoding(dist, rank, k1)
     if blend_lambda == 0.0:
         dist = None  # the blend would add +0.0; freed before the output exists

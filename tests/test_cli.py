@@ -792,3 +792,18 @@ class TestExitCodes:
         bank = _tiny_bank(tmp_path, *shape)
         assert main(["eval", "--bank", bank]) == 2
         assert "cross-camera positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["gt_ids", "camera_ids"])
+    def test_eval_on_a_bank_without_ids_is_2(self, tmp_path, capsys, field):
+        # A well-formed bank that eval cannot score: a config error, not a
+        # data-format one.
+        full = generate_synthetic_bank(SynthConfig(n_identities=4, samples_per_identity=4))
+        bank = tmp_path / "bank.pplb"
+        write_feature_bank(FeatureBank(full.global_feats, full.part_feats, **{
+            name: getattr(full, name) for name in ("gt_ids", "camera_ids") if name != field
+        }), bank)
+        out = tmp_path / "eval.jsonl"
+        assert main(["eval", "--bank", str(bank), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: bank carries no "), lines
+        assert not out.exists()

@@ -125,6 +125,16 @@ class TestMapCmc:
             map_cmc(q, g, np.zeros(n_query, int), np.zeros(n_gallery, int),
                     np.zeros(n_query, int), np.ones(n_gallery, int))
 
+    @pytest.mark.parametrize("side, size", [(5, 40), (4, 10)], ids=["gallery-40", "query-10"])
+    def test_camera_count_mismatch_is_refused(self, side, size):
+        # 20 queries and 20 gallery rows, one camera vector of the wrong
+        # length: a longer one was read only up to the count, silently, and
+        # a shorter one indexed past its end.
+        inst = list(random_instance(np.random.default_rng(66), n_query=20, n_gallery=20))
+        inst[side] = np.zeros(size, dtype=np.int64)
+        with pytest.raises(ValueError, match="feature/camera count mismatch"):
+            map_cmc(*inst)
+
 
 def assert_same_as_dense(*inst):
     result = map_cmc(*inst)
@@ -154,13 +164,12 @@ class TestMapCmcAcrossRowBlocks:
         assert_same_as_dense(feats[:40], feats[10:], ids[:40], ids[10:], cams[:40], cams[10:])
 
 
-@pytest.mark.parametrize("budget", [1, 300, 1 << 40], ids=["one-query", "mid-block", "one-chunk"])
-def test_map_cmc_in_candidate_chunks_inside_a_block(small_blocks, monkeypatch, budget):
-    # About 100 candidates per query: chunks of 300 hold two queries, so
-    # each 9-query block is cut four times. With 4 identities over 120
-    # gallery rows, many queries share a positive count, so AP sums groups
-    # of rows.
-    monkeypatch.setattr(neighbors, "_CHUNK_TRIPLES", budget)
+@pytest.mark.parametrize("rows", [1, 9, 64], ids=["one-query", "nine-queries", "one-block"])
+def test_map_cmc_in_row_blocks_of_any_size(monkeypatch, rows):
+    # 40 queries in blocks of one query, in five blocks of 9 with a ragged
+    # last one, and in one block. With 4 identities over 120 gallery rows,
+    # many queries share a positive count, so AP sums groups of rows.
+    monkeypatch.setattr(neighbors, "_BLOCK_ROWS", rows)
     rng = np.random.default_rng(67)
     q, g, q_ids, g_ids, q_cams, g_cams = inst = random_instance(
         rng, n_query=40, n_gallery=120, n_ids=4

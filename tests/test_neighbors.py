@@ -244,6 +244,36 @@ def test_ranked_matches_a_masked_stable_argsort(data):
     assert np.array_equal(cols, order[selected])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=12))
+def test_ranges_are_concatenated_aranges(spans):
+    # Unsorted and repeated starts, overlapping and empty ranges.
+    starts = np.array([s for s, _ in spans], dtype=np.intp)
+    lengths = np.array([n for _, n in spans], dtype=np.intp)
+    which, pos = neighbors._ranges(starts, lengths)
+    expected = [np.arange(s, s + n) for s, n in spans]
+    assert np.array_equal(which, np.repeat(np.arange(len(spans)), lengths))
+    assert np.array_equal(pos, np.concatenate([np.zeros(0, dtype=np.intp)] + expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_segment_sums_have_the_bits_of_each_1d_sum(data):
+    # Magnitudes over 16 decades, so that a sum in another order differs in
+    # the last bit; lengths past numpy's 128-element pairwise block, equal
+    # lengths grouped into one 2-D sum, and empty ranges.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, size=400)
+    length = st.one_of(st.sampled_from([0, 1, 128, 129, 300]), st.integers(0, 300))
+    lengths = np.array(data.draw(st.lists(length, min_size=1, max_size=8), label="lengths"))
+    starts = np.array([data.draw(st.integers(0, 400 - n), label="start") for n in lengths])
+    sums = neighbors._segment_sums(values, starts, lengths)
+    expected = [values[s:s + n].sum() for s, n in zip(starts, lengths)]
+    assert sums.dtype == np.float64
+    assert np.array_equal(sums, expected)
+    assert np.array_equal(neighbors._segment_sums(values, np.array([7]), np.array([0])), [0.0])
+
+
 def two_blob_features(rng, n_a=5, n_b=5, dim=4, gap=8.0, spread=0.05):
     a = rng.standard_normal((n_a, dim)) * spread
     b = rng.standard_normal((n_b, dim)) * spread

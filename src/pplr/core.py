@@ -206,7 +206,7 @@ class PseudoLabels:
         arr = np.asarray(self.labels)
         if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("labels must be a 1-D integer vector")
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64)  # the one copy, frozen in place below
         if arr.size and arr.min() < -1:
             raise ValueError("labels below -1 are not allowed")
         present = np.unique(arr[arr >= 0])
@@ -214,7 +214,7 @@ class PseudoLabels:
             raise ValueError(
                 f"labels must cover 0..K-1 with no gap; found clusters {present.tolist()}"
             )
-        object.__setattr__(self, "labels", _frozen(arr))
+        object.__setattr__(self, "labels", _read_only(arr))
         object.__setattr__(self, "k_clusters", int(present.size))
 
     @property
@@ -259,7 +259,7 @@ class RankedLists:
             srt = np.sort(arr, axis=1)
             if k > 1 and np.any(srt[:, 1:] == srt[:, :-1]):
                 raise ValueError("duplicate index within a ranked list")
-        object.__setattr__(self, "lists", _frozen(arr.astype(np.int64)))
+        object.__setattr__(self, "lists", _read_only(arr.astype(np.int64)))
 
     @property
     def n_samples(self) -> int:

@@ -8,7 +8,7 @@ from typing import Dict
 import numpy as np
 
 from .core import NoValidQueryError
-from .neighbors import _ranges, _ranked, _row_blocks, _segment_sums
+from .neighbors import _ranges, _ranked, _segment_sums, _sq_distance_rows
 
 DEFAULT_RANKS = (1, 5, 10)
 
@@ -75,19 +75,16 @@ def map_cmc(
     (entries tied with it at a larger index sort after it and add only
     trailing non-matches).
 
-    Queries are ranked one block of rows at a time (see
-    :func:`pplr.neighbors._row_blocks`): the call holds one block's
-    distance and mask arrays, at most ``_BLOCK_ROWS`` x gallery kept
-    candidates, never a query x gallery matrix. A query's same-identity
-    gallery entries are one range of the gallery sorted by identity (see
-    :func:`pplr.neighbors._ranges`), so only they are tested for a shared
+    Queries are ranked one block of rows at a time, by the unclamped
+    squared distances of :func:`pplr.neighbors._sq_distance_rows`, the
+    kernel of ``pairwise_sq_euclidean``: the same bits at every block
+    size and BLAS thread count tested, and never a query x gallery
+    matrix. A query's same-identity gallery entries are one range of the
+    gallery sorted by identity, so only they are tested for a shared
     camera and a largest distance. Each block is ranked by
-    :func:`pplr.neighbors._ranked`, the routine of the top-k lists: a
-    stable sort on distance, then a stable sort on the query. CMC reads
-    each query's first positive. AP reads its positives' ranks: each
-    query's precisions are summed in rank order with the bits of a 1-D
-    sum (:func:`pplr.neighbors._segment_sums`), and mAP averages the APs
-    in query order.
+    :func:`pplr.neighbors._ranked`, as the top-k lists are. CMC reads each
+    query's first positive; AP sums its precisions in rank order with the
+    bits of a 1-D sum, and mAP averages the APs in query order.
 
     Raises:
         ValueError: when an id or camera vector's length is not its side's count.
@@ -104,8 +101,6 @@ def map_cmc(
     if q_cams.size != q_ids.size or g_cams.size != g_ids.size:
         raise ValueError("feature/camera count mismatch")
 
-    sq_q = np.einsum("ij,ij->i", q, q)
-    sq_g = np.einsum("ij,ij->i", g, g)
     # Gallery rows grouped by identity: a query's same-identity rows are
     # one slice of ``by_id``.
     by_id = np.argsort(g_ids)
@@ -114,11 +109,8 @@ def map_cmc(
     # Per query, its number of positives; per positive, in query order and
     # then rank order, its 0-based rank in the query's ranked gallery.
     n_pos, ranks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for blk in _row_blocks(q.shape[0]):
-        # Squared distances rank identically to Euclidean ones.
-        dist = q[blk] @ g.T
-        dist *= 2.0
-        np.subtract(sq_q[blk, None] + sq_g, dist, out=dist)
+    # Squared distances rank identically to Euclidean ones.
+    for blk, dist in _sq_distance_rows(q, g):
         # Each query's same-identity gallery entries as (row, column) pairs;
         # those that share its camera are junk, the rest its positives.
         lo = np.searchsorted(sorted_ids, q_ids[blk], side="left")

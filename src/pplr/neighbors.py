@@ -2,38 +2,26 @@
 Jaccard distance used as the clustering metric.
 
 Everything here is exact search, worked in blocks of ``_BLOCK_ROWS`` (32)
-rows, which :func:`_stable_topk` takes itself, or, in the k-reciprocal set
-expansion and sum of minima, in chunks of ``_CHUNK_TRIPLES`` gathered
-index triples. A call holds its N x N float64 result and block- or
-chunk-sized temporaries (a float64 row block is 0.6 MB at N = 2400):
-:func:`pairwise_sq_euclidean` and :func:`topk_ranked_lists` one N x N
-matrix; :func:`k_reciprocal_jaccard` one at ``blend_lambda == 0`` (the
-normalized distance is freed once the sparse encoding is built, before
-the output exists) and two otherwise.
-Only the dense results stand in the way of larger banks.
+rows or, in the k-reciprocal set expansion and sum of minima, in chunks
+of ``_CHUNK_TRIPLES`` gathered index triples. Besides block- and
+chunk-sized temporaries (a float64 row block is 0.6 MB at N = 2400),
+:func:`pairwise_sq_euclidean` and :func:`topk_ranked_lists` hold one
+N x N float64 matrix, and :func:`k_reciprocal_jaccard` one at
+``blend_lambda == 0`` and two otherwise.
 
-The squared distances are ``(|x_i|^2 + |x_j|^2) - 2 x_i.x_j`` over one
-Gram matrix ``x @ x.T`` of C-contiguous features, which numpy computes as
-a symmetric rank-k update (BLAS ``syrk``) and mirrors across the diagonal,
-so entries (i, j) and (j, i) are the same bits. The matrix is therefore
-exactly symmetric, and a ``(D + D^T) / 2`` pass would change no bit; none
-is done. The Gram matrix is taken in one call, not per row block: a
-block product ``x[rows] @ x.T`` is a general product, which BLAS may
-round differently in the last bit (OpenBLAS does for small blocks).
+Every squared distance ``(|a_i|^2 + |b_j|^2) - 2 a_i.b_j``, here and in
+``map_cmc``, comes from one kernel, :func:`_sq_distance_rows`, whose Gram
+products all have one shape per call: a 32-row slab, zero-padded, times
+the zero-padded ``b^T``. Its bits therefore depend neither on the row
+block size nor, with OpenBLAS 0.3.31, on the BLAS thread count (1 and 2
+threads tested), and entries (i, j) and (j, i) are the same products in
+the same order, so the pairwise matrix is exactly symmetric. Where N is a
+multiple of 8 these are the bits of one whole ``x @ x.T``.
 
-Ranking never sorts a whole row. :func:`_ranked` orders a mask's entries
-of a row block as a stable argsort of each row would, equal values with
-the smaller index first: a stable sort of the selected values, then a
-stable radix sort by their small-integer row. :func:`_stable_topk` ranks
-every entry at or below each row's k-th smallest value (from
-``np.partition``), ties at that cut-off included, and keeps the first k;
-``map_cmc`` ranks each query's kept gallery entries the same way, and
-shares the range expansion :func:`_ranges` and the sums with the bits of
-a 1-D sum :func:`_segment_sums` with the k-reciprocal encoding.
-:func:`topk_ranked_lists` ranks k + 1 entries of each row as stored and
-drops the row's own index; with duplicate rows that index can sit behind
-equal neighbours of smaller index, and when it falls outside the k + 1
-the last entry is dropped.
+Ranking never sorts a whole row: :func:`_ranked` orders a mask's entries
+as a stable argsort of each row would, for :func:`_stable_topk` and
+``map_cmc``, which shares :func:`_ranges` and :func:`_segment_sums` with
+the k-reciprocal encoding.
 
 Matrices built here are symmetric, non-negative and zero on the diagonal
 by construction, so they skip the copy and the shape, sign and symmetry
@@ -57,6 +45,9 @@ SYMMETRY_ATOL = 1e-6
 # _BLOCK_ROWS x N however large N grows: 0.6 MB per float64 or index
 # array at N = 2400, small next to the N x N results.
 _BLOCK_ROWS = 32
+
+# Rows of every Gram product of _sq_distance_rows, whatever the block size.
+_SLAB_ROWS = 32
 
 # Index triples per chunk of the chunked k-reciprocal passes (the set
 # expansion and the sum of minima): chunk temporaries stay under 1 MB
@@ -109,26 +100,53 @@ def _row_blocks(n: int) -> List[slice]:
     return [slice(s, min(s + _BLOCK_ROWS, n)) for s in range(0, n, _BLOCK_ROWS)]
 
 
-def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
-    """All-pairs squared Euclidean distances with an exact zero diagonal.
+def _sq_distance_rows(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Row block by row block of the float64 matrix ``a`` (see
+    :func:`_row_blocks`): the block and its rows of ``(|a_i|^2 + |b_j|^2)
+    - 2 a_i.b_j``, unclamped, in ``out[blk]`` or else in a new array. Each
+    Gram product is a ``_SLAB_ROWS``-row slab of ``a``, held transposed and
+    zero-padded, times the transpose of ``b``'s rows, C-contiguous and
+    zero-padded to a multiple of ``_SLAB_ROWS``, into one reused scratch.
+    With ``a is b``, the squared norms of ``b``'s C-contiguous rows serve
+    as ``a``'s."""
+    nb = b.shape[0]
+    bp = b  # C-contiguous rows, zero-padded to a multiple of _SLAB_ROWS
+    if nb % _SLAB_ROWS or not b.flags.c_contiguous:
+        bp = np.zeros((-(-nb // _SLAB_ROWS) * _SLAB_ROWS, b.shape[1]))
+        bp[:nb] = b
+    sq_b = np.einsum("ij,ij->i", bp[:nb], bp[:nb])
+    sq_a = sq_b if a is b else np.einsum("ij,ij->i", a, a)
+    slab = np.zeros((a.shape[1], _SLAB_ROWS))  # the slab's transpose
+    gram = np.empty((_SLAB_ROWS, bp.shape[0]))
+    for blk in _row_blocks(a.shape[0]):
+        rows = np.empty((blk.stop - blk.start, nb)) if out is None else out[blk]
+        rows[...] = sq_b  # then sq_j + sq_i, the bits of sq_i + sq_j, in two
+        rows += sq_a[blk, None]  # passes: faster than one broadcast add
+        for start in range(blk.start, blk.stop, _SLAB_ROWS):
+            stop = min(start + _SLAB_ROWS, blk.stop)
+            slab[:, : stop - start] = a[start:stop].T
+            slab[:, stop - start :] = 0.0
+            np.matmul(slab.T, bp.T, out=gram)
+            gram *= 2.0
+            rows[start - blk.start : stop - blk.start] -= gram[: stop - start, :nb]
+        yield blk, rows
 
-    The Gram matrix is the output buffer; each row block is then turned
-    into ``(sq_i + sq_j) - 2 g_ij``, clamped at 0, in place. Features are
-    made C-contiguous first: on a strided operand numpy computes
-    ``x @ x.T`` as a general product, which need not be symmetric."""
-    x = np.ascontiguousarray(features, dtype=np.float64)
+
+def pairwise_sq_euclidean(features: np.ndarray) -> DistanceMatrix:
+    """All-pairs squared Euclidean distances by :func:`_sq_distance_rows`,
+    clamped at 0, with an exact zero diagonal: exactly symmetric, with the
+    same bits at every row block size and BLAS thread count tested."""
+    x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite feature entry")
+    d = np.empty((x.shape[0], x.shape[0]))
     # Huge features overflow here; the finiteness check of _trusted reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", x, x)
-        d = x @ x.T
-        for blk in _row_blocks(d.shape[0]):
-            rows = d[blk]
-            rows *= 2.0
-            np.subtract(sq[blk, None] + sq, rows, out=rows)
+        for _, rows in _sq_distance_rows(x, x, out=d):
             np.maximum(rows, 0.0, out=rows)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix._trusted(d)
@@ -163,7 +181,10 @@ def _stable_topk(values: np.ndarray, k: int) -> np.ndarray:
 
 def topk_ranked_lists(dist: DistanceMatrix, k: int) -> RankedLists:
     """Top-k neighbor lists per row, ascending distance, ties to smaller
-    index, self excluded."""
+    index, self excluded: k + 1 entries of each row ranked as stored, less
+    the row's own index. With duplicate rows that index can sit behind
+    equal neighbours of smaller index; when it falls outside the k + 1,
+    the last entry is dropped."""
     n = dist.n_samples
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < N; got k={k}, N={n}")
@@ -269,10 +290,12 @@ def _encoding(dist: np.ndarray, rank: np.ndarray, k1: int) -> Tuple[np.ndarray, 
 def _query_expansion(
     encoding: Tuple[np.ndarray, ...], rank: np.ndarray, k2: int
 ) -> Tuple[np.ndarray, ...]:
-    """Step 4 of :func:`k_reciprocal_jaccard` on dense row blocks of V.
-    Returns the row sums of the result and the result in compressed
-    columns: column pointers, row indices (ascending within a column) and
-    weights."""
+    """Step 4 of :func:`k_reciprocal_jaccard` on dense row blocks of V: a
+    running sum over the k2 ranked rows, one division by k2, then a
+    pairwise row sum over all N columns, the bits of ``v.sum(axis=1)``
+    over the dense matrix. Returns the row sums of the result and the
+    result in compressed columns: column pointers, row indices (ascending
+    within a column) and weights."""
     ptr, cols, vals = encoding
     lengths = np.diff(ptr)
     n = rank.shape[0]
@@ -399,28 +422,11 @@ def k_reciprocal_jaccard(
     Memory: the normalized distance (normalized in place) lives until V
     is built; at ``blend_lambda == 0`` it is then freed, since the blend
     would only add +0.0, so the output is the one N x N float64 matrix
-    from there on; otherwise both live to the end. The sets of steps 1-2
-    are sorted pair keys, expanded a chunk of rows at a time, and V is
-    held as per-row (index, weight) arrays. Step 4 and the row sums run on
-    one dense row block of V at a time: a running sum over the k2 ranked
-    rows, one division by k2, then a pairwise row sum over all N columns,
-    the bits of ``v.sum(axis=1)`` over the dense matrix.
-
-    The weights of step 3 are divided by their row's sum, which has the
-    bits of that row's own 1-D sum (see :func:`_segment_sums`).
-
-    The sum of minima in step 5 is accumulated into the output buffer from
-    a column-major copy of V: column m adds the outer product of minima of
-    its weights over the pairs of rows in its support. That product is
-    symmetric, so only the pairs i < j are accumulated, in ascending column
-    order, by ``np.add.at`` in chunks of about ``_CHUNK_TRIPLES`` (i, j,
-    value) triples, one call per chunk; the upper triangle is then
-    mirrored and the diagonal added. A pair (i, j) thus receives its terms
-    in ascending m, the order of a per-pair sum over m, so the result does
-    not depend on where the chunks are cut. Each row block of the buffer
-    then becomes the Jaccard distance, the blend and the clip in place.
-    Both triangles hold the same sums, so the result is exactly symmetric
-    and needs no ``(D + D^T) / 2``.
+    from there on; otherwise both live to the end. V is held as per-row
+    (index, weight) arrays. The helper of each step (:func:`_encoding` and
+    on) tells how it runs and in which order its sums are taken; both
+    triangles of the sums of minima hold the same sums, so the result is
+    exactly symmetric.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
@@ -432,8 +438,7 @@ def k_reciprocal_jaccard(
         raise ValueError("blend_lambda must lie in [0, 1]")
 
     dist = pairwise_sq_euclidean(x).values
-    # The matrix is this call's own (pairwise_sq_euclidean keeps no
-    # reference), so it is normalized in place.
+    # Normalized in place: pairwise_sq_euclidean keeps no reference.
     dist.flags.writeable = True
     dmax = dist.max()
     if dmax > 0:

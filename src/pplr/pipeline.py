@@ -579,6 +579,8 @@ def load_model(path) -> ToyModel:
             f"model blob has {len(data)} bytes, expected {expected}"
         )
     offset = _MODEL_HEADER.size
+    if not np.isfinite(np.frombuffer(data, "<f4", offset=offset)).all():
+        raise DataFormatError("non-finite entry in the model payload")
     proj = np.frombuffer(data, "<f4", d_raw * d, offset).reshape(d_raw, d).astype(np.float64)
     offset += d_raw * d * 4
     heads = []

@@ -142,7 +142,7 @@ def k_reciprocal_loop_oracle(
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     sq = np.einsum("ij,ij->i", x, x)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    dist = sq[:, None] + sq[None, :] - 2.0 * slab_gram_oracle(x)
     np.maximum(dist, 0.0, out=dist)
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
@@ -282,13 +282,26 @@ def label_quality_oracle(labels, gt_ids) -> Tuple[float, float, float]:
     return correct / n, f_score, sum(label < 0 for label in labels) / n
 
 
+def slab_gram_oracle(x: np.ndarray) -> np.ndarray:
+    """``x @ x.T`` as ``pairwise_sq_euclidean`` takes it: the rows padded
+    with zero rows to a multiple of 32, and each 32-row slab of them, held
+    in column-major order, times the padded rows' transpose."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    padded = np.zeros((-(-n // 32) * 32, x.shape[1]))
+    padded[:n] = x
+    slabs = [np.asfortranarray(padded[s : s + 32]) @ padded.T for s in range(0, n, 32)]
+    return np.vstack(slabs)[:n, :n] if slabs else np.zeros((0, 0))
+
+
 def sq_euclidean_dense_oracle(x: np.ndarray) -> np.ndarray:
-    """The dense one-shot form of ``pairwise_sq_euclidean``, with the
-    ``(D + D^T) / 2`` symmetrization it used to apply; on C-contiguous
-    features the package must match it bit for bit."""
+    """The dense one-shot form of ``pairwise_sq_euclidean`` over the slab
+    Gram matrix, with the ``(D + D^T) / 2`` symmetrization it used to
+    apply; on C-contiguous features the package must match it bit for
+    bit."""
     x = np.asarray(x, dtype=np.float64)
     sq = np.einsum("ij,ij->i", x, x)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d = sq[:, None] + sq[None, :] - 2.0 * slab_gram_oracle(x)
     np.maximum(d, 0.0, out=d)
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,36 @@ class TestPseudoLabels:
     def test_label_below_minus_one_rejected(self):
         with pytest.raises(ValueError, match="below -1"):
             PseudoLabels(labels=np.array([0, -2, 0]))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_stored_indices_are_a_frozen_int64_copy(dtype):
+    # Each constructor stores its own int64 array: read-only, and not the
+    # caller's, which the caller may go on changing, whatever its dtype.
+    labels = np.array([0, 1, 1, 0], dtype=dtype)
+    lists = np.array([[1, 2], [0, 2], [0, 1]], dtype=dtype)
+    pl, rl = PseudoLabels(labels=labels), RankedLists(lists=lists)
+    for stored, given in ((pl.labels, labels), (rl.lists, lists)):
+        assert stored.dtype == np.int64 and not stored.flags.writeable
+        assert not np.shares_memory(stored, given)
+    labels[:] = 0
+    lists[:] = 1
+    assert pl.labels.tolist() == [0, 1, 1, 0] and pl.k_clusters == 2
+    assert rl.lists.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+
+def test_ranked_lists_hold_one_copy_besides_the_duplicate_check():
+    # The sort of the duplicate check and the stored copy: two N x k
+    # arrays at the peak (three before the stored copy was the only one).
+    lists = (np.arange(2000)[:, None] + np.arange(1, 21)) % 2000
+    RankedLists(lists=lists)  # first call: numpy imports helper modules once
+    tracemalloc.start()
+    try:
+        RankedLists(lists=lists)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * lists.nbytes
 
 
 class TestRankedLists:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from oracles import (
     pairwise_sq_oracle,
     sq_euclidean_dense_oracle,
 )
+import pplr
 from pplr import neighbors
 from pplr.cluster import DbscanParams, dbscan
 from pplr.core import NumericalError, l2_normalize, normalize_bank
@@ -390,6 +395,69 @@ class TestAcrossRowBlocks:
             pairwise_sq_euclidean(x)
 
 
+@pytest.mark.parametrize("rows", [1, 64], ids=["one-row", "two-slabs"])
+class TestAtOtherBlockSizes:
+    """The slab oracles with blocks of 1 row (each slab holds one row of
+    data) and of 64 rows (two slabs per block)."""
+
+    def test_pairwise_matches_dense_form(self, monkeypatch, rows):
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS", rows)
+        rng = np.random.default_rng(19)
+        for n, dim in [(30, 2), (35, 6), (58, 32), (301, 64)]:
+            x = rng.standard_normal((n, dim))
+            assert np.array_equal(pairwise_sq_euclidean(x).values, sq_euclidean_dense_oracle(x))
+
+    def test_k_reciprocal_bit_exact_against_loop_oracle(self, monkeypatch, rows):
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS", rows)
+        TestKReciprocalJaccard().test_bit_exact_against_loop_oracle()
+
+
+class TestDistanceKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80), dim=st.integers(1, 40), strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_at_every_block_size(self, n, dim, strided, seed):
+        # The pairwise matrix and the rows of another matrix against it
+        # (as map_cmc takes them) at blocks of 1, 9, 32 and 64 rows; the
+        # pairwise matrix is exactly symmetric.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2 * dim))[:, ::2] if strided else rng.standard_normal((n, dim))
+        q = rng.standard_normal((n // 3 + 1, dim))
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            for rows in (1, 9, 32, 64):
+                patch.setattr(neighbors, "_BLOCK_ROWS", rows)
+                cross = [r.copy() for _, r in neighbors._sq_distance_rows(q, x)]
+                results.append((pairwise_sq_euclidean(x).values, np.vstack(cross)))
+        d, cross = results[0]
+        assert np.array_equal(d, d.T)
+        for other_d, other_cross in results[1:]:
+            assert np.array_equal(other_d, d) and np.array_equal(other_cross, cross)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # N = 300 = 8 * 37 + 4, where one whole x @ x.T changes in the last
+        # bit between 1 and 2 OpenBLAS threads.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from pplr.neighbors import pairwise_sq_euclidean\n"
+            "x = np.random.default_rng(25).standard_normal((300, 32))\n"
+            "x /= np.linalg.norm(x, axis=1, keepdims=True)\n"
+            "print(hashlib.sha256(pairwise_sq_euclidean(x).values.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(pplr.__file__).resolve().parent.parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
+
 def sums_of_minima_by_column(col_ptr, col_rows, col_vals, n):
     """The per-column form of the sum of minima: one ``np.add.at`` of a
     column's outer product of minima at a time, in ascending column order."""
@@ -462,8 +530,8 @@ def test_row_sums_of_a_2d_array_have_the_bits_of_1d_sums():
 
 
 def test_strided_features_give_an_exactly_symmetric_matrix():
-    # On a strided operand numpy's x @ x.T is a general product, which is
-    # not always symmetric; the features are made contiguous first.
+    # The kernel copies strided features into its zero-padded rows and
+    # slabs, so they give the bits of their contiguous copy.
     big = np.random.default_rng(20).standard_normal((300, 64))
     x = big[:, ::2]
     d = pairwise_sq_euclidean(x).values
@@ -487,7 +555,7 @@ def test_memory_stays_within_a_few_n_by_n_matrices():
     # lambda = 0, frees it before the output exists; at lambda > 0 both
     # live to the end. Add row-block, chunk and sparse-encoding
     # temporaries; the dense form held about 11 matrices. The other bounds
-    # are the measured peaks (pairwise 1.09 matrices, top-k 0.13, DBSCAN
+    # are the measured peaks (pairwise 1.08 matrices, top-k 0.13, DBSCAN
     # 0.04, agreement 1.22) plus 0.05 matrices, one 32-row block of
     # float64, rounded up: a full N x N bool or index temporary in any of
     # them breaks its bound.

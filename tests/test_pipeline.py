@@ -6,9 +6,9 @@ import pytest
 
 from oracles import aals_loss_oracle, fd_gradient, soft_cross_entropy_oracle
 from pplr.cluster import DbscanParams
-from pplr.core import CrossAgreement, NumericalError, PseudoLabels
+from pplr.core import CrossAgreement, DataFormatError, NumericalError, PseudoLabels
 from pplr.ingest import SynthConfig, generate_synthetic_bank
-from pplr.objectives import LossWeights
+from pplr.objectives import ClassifierHead, LossWeights
 from pplr.pipeline import (
     PipelineConfig,
     ToyModel,
@@ -496,6 +496,24 @@ class TestRun:
         assert len(back.heads) == len(model.heads)
         for a, b in zip(back.heads, model.heads):
             assert np.allclose(a.weight, b.weight, atol=1e-6)
+
+    @pytest.mark.parametrize("where", ["projection", "head"])
+    def test_model_file_with_a_non_finite_value_is_a_format_error(
+        self, tmp_path, non_finite, where
+    ):
+        # A NaN or inf in any matrix of the payload, here the last value of
+        # the projection or of the second head, is a format error, as in a
+        # bank file.
+        proj = np.arange(6.0).reshape(3, 2)
+        heads = [ClassifierHead(weight=np.ones((4, 2))) for _ in range(2)]
+        path = tmp_path / "model.pplm"
+        save_model(ToyModel(projection=proj, heads=heads), path)
+        data = bytearray(path.read_bytes())
+        stop = len(data) - (2 * 4 * 2 * 4 if where == "projection" else 0)
+        data[stop - 4 : stop] = np.array([non_finite], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_model(path)
 
     def test_model_that_overflows_float32_is_not_written(self, tmp_path):
         path = tmp_path / "model.pplm"

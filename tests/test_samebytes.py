@@ -47,4 +47,8 @@ def test_head_against_itself_on_a_tiny_bank():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip().endswith("29 files compared over 1 banks; 0 differ")
+    # The second leg reruns cluster, agree and eval at two BLAS threads.
+    assert proc.stdout.strip().endswith(
+        "29 files compared over 1 banks; 0 differ\n"
+        "3 files compared at 2 BLAS threads; 0 differ"
+    )

@@ -5,10 +5,12 @@
 Exports the git revision BASE (and HEAD, when given; otherwise the working
 tree of this checkout is used) and runs one fixed matrix of pplr commands
 under each tree, with one BLAS thread. The banks are the small
-``criterion10`` bank, the default bank, one bank per perfbench workload and
+``criterion10`` bank, the default bank, one bank per perfbench workload,
 ``tie-heavy``, a noise-free bank whose duplicate rows tie at top-k
-cut-offs. For every bank it writes the bank with ``pplr simgen``, then
-runs ``cluster``, ``agree``, ``refine``, ``eval``, ``train`` and
+cut-offs, and ``n300``, 25 identities of 12 samples (N = 300, not a
+multiple of 8, where a whole-matrix Gram product and 32-row slabs differ
+in the last bit). For every bank it writes the bank with ``pplr simgen``,
+then runs ``cluster``, ``agree``, ``refine``, ``eval``, ``train`` and
 ``pipeline`` (plain, ``--constant-alpha 0.7``, ``--mode baseline`` and
 ``--lambda-cam 0``, which builds no camera proxies),
 and ``cluster``, ``agree``, ``refine`` and ``eval`` once more without
@@ -18,8 +20,14 @@ saving what they print to stderr. It compares every exit code and the
 SHA-256 of every file written, bank, outputs, saved stdout and stderr and
 models, and prints each file that differs with its two digests.
 
-Exit status: 0 when every file and every command exit code match, 1 when
-something differs, 2 when a revision cannot be exported.
+A second leg reruns the ``cluster``, ``agree`` and ``eval`` commands of
+the head tree at two BLAS threads on the head's banks, and compares their
+exit codes and output files with the head's own one-thread ones.
+``train`` and ``pipeline`` are left out: some of their loss values still
+round differently at two threads.
+
+Exit status: 0 when every file and every command exit code match in both
+legs, 1 when something differs, 2 when a revision cannot be exported.
 """
 
 from __future__ import annotations
@@ -78,6 +86,11 @@ BANKS = {
         "synth": {"n_identities": 20, "samples_per_identity": 12, "cluster_spread": 0.0, "seed": 3},
         "pipeline": {"epochs": 2, "iters_per_epoch": 10, "k_agreement": 1, "seed": 1},
     },
+    # N = 300 = 8 * 37 + 4: every other bank's N is a multiple of 8.
+    "n300": {
+        "synth": {"n_identities": 25, "samples_per_identity": 12, "seed": 4},
+        "pipeline": {"epochs": 2, "iters_per_epoch": 10, "seed": 1},
+    },
 }
 
 # (output stem, subcommand, extra flags); train and pipeline also write a model.
@@ -95,6 +108,9 @@ COMMANDS = [
 
 # Commands that also run without --out; their stdout is saved as <command>-stdout.jsonl.
 STDOUT_COMMANDS = ("cluster", "agree", "refine", "eval")
+
+# Commands that the second leg reruns at two BLAS threads.
+THREADED_COMMANDS = ("cluster", "agree", "eval")
 
 # Where the failing commands find their inputs: they run from a tree's
 # output directory, which lies beside configs/, so the paths in their
@@ -180,6 +196,20 @@ def matrix(config_dir: Path, out: Path, banks) -> list:
     return runs
 
 
+def threaded_matrix(config_dir: Path, head: Path, out: Path, banks) -> list:
+    """(label, argv, None, None) of every ``THREADED_COMMANDS`` run on the
+    banks that the head wrote under ``head``, writing under ``out``."""
+    runs = []
+    for name in banks:
+        (out / name).mkdir(parents=True)
+        for command in THREADED_COMMANDS:
+            argv = [command, "--config", str(config_dir / f"{name}.json"),
+                    "--bank", str(head / name / "bank.pplb"),
+                    "--out", str(out / name / f"{command}.jsonl")]
+            runs.append((f"{name}/{command}", argv, None, None))
+    return runs
+
+
 def export(rev: str, dest: Path) -> Path:
     """Extract the committed tree of ``rev`` into ``dest``."""
     proc = subprocess.run(
@@ -194,16 +224,27 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def start(tree: Path, runs: list, cwd: Path) -> subprocess.Popen:
+def start(tree: Path, runs: list, cwd: Path, threads: int = 1) -> subprocess.Popen:
     """Run ``runs``, [argv, stdout path or None, stderr path or None]
-    triples, with the pplr of ``tree`` in one child process."""
+    triples, with the pplr of ``tree`` and ``threads`` BLAS threads in one
+    child process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(threads)
     return subprocess.Popen(
         [sys.executable, "-c", _RUNNER, json.dumps(runs)], env=env, cwd=cwd,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+
+
+def finish(side: str, proc: subprocess.Popen):
+    """The exit codes of the commands that ``proc`` ran, or None, with its
+    stderr printed, when the runner itself failed."""
+    out, err = proc.communicate()
+    if proc.returncode != 0:
+        print(f"{side}: the command runner failed:\n{err}", file=sys.stderr)
+        return None
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def digests(root: Path) -> dict:
@@ -240,14 +281,22 @@ def main(argv=None) -> int:
             side: start(tree, [list(run[1:]) for run in runs[side]], tmp / side)
             for side, tree in trees.items()
         }
-        outputs = {side: proc.communicate() for side, proc in procs.items()}
-        for side, proc in procs.items():
-            if proc.returncode != 0:
-                print(f"{side}: the command runner failed:\n{outputs[side][1]}", file=sys.stderr)
-                return 1
-        codes = {side: json.loads(out.strip().splitlines()[-1]) for side, (out, _) in outputs.items()}
+        codes = {side: finish(side, proc) for side, proc in procs.items()}
+        if None in codes.values():
+            return 1
+        # The second leg reads the banks that the head has written.
+        runs["threads"] = threaded_matrix(tmp / "configs", tmp / "head", tmp / "threads", banks)
+        codes["threads"] = finish("head at 2 BLAS threads", start(
+            trees["head"], [list(run[1:]) for run in runs["threads"]], tmp / "threads", threads=2
+        ))
+        if codes["threads"] is None:
+            return 1
         head_digests = digests(tmp / "head")
         differ = compare(digests(tmp / "base"), head_digests)
+        threaded_digests = digests(tmp / "threads")
+        threaded_differ = compare(
+            {path: head_digests.get(path) for path in threaded_digests}, threaded_digests
+        )
 
     labels = [run[0] for run in runs["head"]]
     codes_differ = False
@@ -257,10 +306,20 @@ def main(argv=None) -> int:
             codes_differ = True
         elif base_code != 0:
             print(f"note: {label} exited {base_code} under both trees")
+    head_codes = dict(zip(labels, codes["head"]))
+    for (label, *_), code in zip(runs["threads"], codes["threads"]):
+        if code != head_codes[label]:
+            print(f"exit code differs at 2 BLAS threads: {label}: 1 thread "
+                  f"{head_codes[label]}, 2 threads {code}")
+            codes_differ = True
     for path, base_digest, head_digest in differ:
         print(f"differs: {path}\n  base {base_digest}\n  head {head_digest}")
+    for path, one, two in threaded_differ:
+        print(f"differs at 2 BLAS threads: {path}\n  1 thread  {one}\n  2 threads {two}")
     print(f"{len(head_digests)} files compared over {len(banks)} banks; {len(differ)} differ")
-    return 1 if codes_differ or differ else 0
+    print(f"{len(threaded_digests)} files compared at 2 BLAS threads; "
+          f"{len(threaded_differ)} differ")
+    return 1 if codes_differ or differ or threaded_differ else 0
 
 
 if __name__ == "__main__":

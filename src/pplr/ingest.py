@@ -1,4 +1,5 @@
-"""Feature-bank file format and the synthetic embedding generator.
+"""Feature-bank file format, the synthetic embedding generator, and
+:class:`BinaryFormat`, the shared half of the bank and model codecs.
 
 Binary layout (little-endian):
 
@@ -22,19 +23,98 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .core import GLOBAL_SPACE, DataFormatError, FeatureBank, _require_finite, part_space
+from .core import GLOBAL_SPACE, DataFormatError, FeatureBank, NumericalError, part_space
+from .core import _require_finite
+
+
+class BinaryFormat:
+    """A 4-byte ``magic``, a u32 ``version``, unsigned integer ``fields`` (name
+    to little-endian dtype), then a payload that starts with f32 matrices.
+    ``payload_size(*fields)`` is its length in bytes; it raises DataFormatError
+    for fields that no file may hold, in ``write`` as in ``unpack``."""
+
+    def __init__(self, magic: bytes, version: int, fields: Dict[str, str], payload_size):
+        self.magic, self.version, self.fields = magic, version, fields
+        self.payload_size = payload_size
+        self.header = struct.Struct("<4sI" + "".join(np.dtype(t).char for t in fields.values()))
+
+    def unpack(self, data: bytes) -> list:
+        """The header fields of ``data``, after checking its magic, version, fields and length."""
+        if len(data) < self.header.size:
+            raise DataFormatError(f"truncated header: {len(data)} bytes")
+        magic, version, *fields = self.header.unpack_from(data)
+        if magic != self.magic:
+            raise DataFormatError(f"bad magic {magic!r}")
+        if version != self.version:
+            raise DataFormatError(f"unsupported version {version}")
+        expected = self.header.size + self.payload_size(*fields)
+        if len(data) < expected:
+            raise DataFormatError(f"truncated payload: {len(data)} bytes, expected {expected}")
+        if len(data) > expected:
+            raise DataFormatError(f"trailing data: {len(data) - expected} extra bytes")
+        return fields
+
+    def decode(self, data: bytes, shapes: Dict[str, tuple]) -> list:
+        """Read-only views of the f32 matrices ``shapes`` (name to shape) at the start of
+        the payload of the unpacked ``data``; a NaN or infinity is a DataFormatError."""
+        mats, offset = [], self.header.size
+        for name, (rows, cols) in shapes.items():
+            flat = np.frombuffer(data, "<f4", rows * cols, offset)
+            if not np.isfinite(flat).all():
+                raise DataFormatError(f"non-finite entry in the {name} payload")
+            mats.append(flat.reshape(rows, cols))
+            offset += flat.nbytes
+        return mats
+
+    def write(self, path, fields: Sequence[int], mats: Dict[str, np.ndarray], **columns) -> None:
+        """Write the header of ``fields``, the ``mats`` (name to matrix) as f32, then the
+        integer ``columns`` (name to values and dtype). Every check runs first, so a failed
+        one writes nothing: an integer past its width is a DataFormatError, a value past
+        the f32 range a NumericalError."""
+        ints = {**dict(zip(self.fields, zip(fields, self.fields.values()))), **columns}
+        for name, (values, dtype) in ints.items():
+            info = np.iinfo(dtype)
+            if np.min(values, initial=0) < 0 or np.max(values, initial=0) > info.max:
+                raise DataFormatError(f"{name} must fit in u{info.bits}")
+        self.payload_size(*fields)
+        with np.errstate(over="ignore"):
+            blobs = [np.ascontiguousarray(m, dtype="<f4") for m in mats.values()]
+        for name, blob in zip(mats, blobs):
+            if not np.isfinite(blob).all():
+                raise NumericalError(f"{name} values do not fit float32")
+        blobs += [np.asarray(values).astype(dtype) for values, dtype in columns.values()]
+        packed = self.header.pack(self.magic, self.version, *fields)
+        Path(path).write_bytes(b"".join([packed, *blobs]))
+
 
 MAGIC = b"PPLB"
 VERSION = 1
 FLAG_CAMERA_IDS = 1
 FLAG_GT_IDS = 2
 _KNOWN_FLAGS = FLAG_CAMERA_IDS | FLAG_GT_IDS
+# The id columns after the matrices, in file order: (flag, FeatureBank field, dtype).
+_ID_COLUMNS = ((FLAG_CAMERA_IDS, "camera_ids", "<u2"), (FLAG_GT_IDS, "gt_ids", "<u4"))
 
-_HEADER = struct.Struct("<4sIIIHH")
+
+def _bank_payload(n: int, dim: int, n_parts: int, flags: int) -> int:
+    if flags & ~_KNOWN_FLAGS:
+        raise DataFormatError(f"unknown header flag bits {flags & ~_KNOWN_FLAGS:#06x}")
+    if n_parts == 0:
+        raise DataFormatError("header declares 0 part feature spaces")
+    if dim == 0:
+        raise DataFormatError("header declares feature dimension 0")
+    ids = sum(np.dtype(dtype).itemsize for flag, _, dtype in _ID_COLUMNS if flags & flag)
+    return ((1 + n_parts) * dim * 4 + ids) * n
+
+
+_BANK = BinaryFormat(
+    MAGIC, VERSION, {"N": "<u4", "dim": "<u4", "n_parts": "<u2", "flags": "<u2"}, _bank_payload
+)
+_HEADER = _BANK.header
 
 
 @dataclass(frozen=True)
@@ -90,100 +170,32 @@ class SynthConfig:
         return self.n_identities * self.samples_per_identity
 
 
-def _payload_size(n: int, dim: int, n_parts: int, flags: int) -> int:
-    size = (1 + n_parts) * n * dim * 4
-    if flags & FLAG_CAMERA_IDS:
-        size += n * 2
-    if flags & FLAG_GT_IDS:
-        size += n * 4
-    return size
-
-
 def write_feature_bank(bank: FeatureBank, path) -> None:
-    """Serialize ``bank`` to ``path``.
-
-    The full payload is staged in memory first, so a validation failure
-    never leaves a partial file behind.
-    """
-    n, dim, n_parts = bank.n_samples, bank.dim, bank.n_parts
-    flags = 0
-    if bank.camera_ids is not None:
-        if bank.camera_ids.min() < 0 or bank.camera_ids.max() > 0xFFFF:
-            raise DataFormatError("camera ids must fit in u16")
-        flags |= FLAG_CAMERA_IDS
-    if bank.gt_ids is not None:
-        if bank.gt_ids.min() < 0 or bank.gt_ids.max() > 0xFFFFFFFF:
-            raise DataFormatError("gt ids must fit in u32")
-        flags |= FLAG_GT_IDS
-
-    buf = bytearray()
-    buf += _HEADER.pack(MAGIC, VERSION, n, dim, n_parts, flags)
-    buf += np.ascontiguousarray(bank.global_feats, dtype="<f4").tobytes()
-    for p in bank.part_feats:
-        buf += np.ascontiguousarray(p, dtype="<f4").tobytes()
-    if flags & FLAG_CAMERA_IDS:
-        buf += bank.camera_ids.astype("<u2").tobytes()
-    if flags & FLAG_GT_IDS:
-        buf += bank.gt_ids.astype("<u4").tobytes()
-
-    Path(path).write_bytes(buf)
+    """Serialize ``bank`` to ``path``; a bank that the format cannot hold writes nothing."""
+    ids = {field: (getattr(bank, field), dtype) for _, field, dtype in _ID_COLUMNS
+           if getattr(bank, field) is not None}
+    flags = sum(flag for flag, field, _ in _ID_COLUMNS if field in ids)
+    mats = {f"{space} feature": m for space, m in bank.spaces()}
+    _BANK.write(path, (bank.n_samples, bank.dim, bank.n_parts, flags), mats, **ids)
 
 
 def read_feature_bank(path) -> FeatureBank:
-    """Parse a feature-bank file, distinguishing each corruption mode.
-
-    Raises:
-        DataFormatError: bad magic, unsupported version, flag bits that
-            version 1 does not define, a header with no part space or zero
-            dimensions, truncated payload or trailing bytes, or a NaN or
-            infinity in any feature matrix, each with a distinct message.
-            A non-finite entry is a format error whichever space holds it,
-            also one that the calling command never reads.
-    """
+    """Parse a feature-bank file. Each corruption that ``BinaryFormat`` or
+    ``_bank_payload`` detects is a DataFormatError with its own message; a
+    NaN or infinity is one in any space, also one that the calling command
+    never reads."""
     data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise DataFormatError(f"truncated header: {len(data)} bytes")
-    magic, version, n, dim, n_parts, flags = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise DataFormatError(f"unsupported version {version}")
-    if flags & ~_KNOWN_FLAGS:
-        raise DataFormatError(f"unknown header flag bits {flags & ~_KNOWN_FLAGS:#06x}")
-    if n_parts == 0:
-        raise DataFormatError("header declares 0 part feature spaces")
-    if dim == 0:
-        raise DataFormatError("header declares feature dimension 0")
-    expected = _HEADER.size + _payload_size(n, dim, n_parts, flags)
-    if len(data) < expected:
-        raise DataFormatError(
-            f"truncated payload: {len(data)} bytes, expected {expected}"
-        )
-    if len(data) > expected:
-        raise DataFormatError(f"trailing data: {len(data) - expected} extra bytes")
-
-    offset = _HEADER.size
-    mats = []
-    for space in [GLOBAL_SPACE, *map(part_space, range(n_parts))]:
-        flat = np.frombuffer(data, dtype="<f4", count=n * dim, offset=offset)
-        if not np.isfinite(flat).all():
-            raise DataFormatError(f"non-finite entry in the {space} feature payload")
-        mats.append(flat.reshape(n, dim))
-        offset += n * dim * 4
-    camera_ids = None
-    if flags & FLAG_CAMERA_IDS:
-        camera_ids = np.frombuffer(data, dtype="<u2", count=n, offset=offset).astype(
-            np.int64
-        )
-        offset += n * 2
-    gt_ids = None
-    if flags & FLAG_GT_IDS:
-        gt_ids = np.frombuffer(data, dtype="<u4", count=n, offset=offset).astype(
-            np.int64
-        )
+    n, dim, n_parts, flags = _BANK.unpack(data)
+    spaces = [GLOBAL_SPACE, *map(part_space, range(n_parts))]
     # The matrices are read-only views of ``data``, which nothing else
     # holds, so the bank keeps them instead of copying each once more.
-    return FeatureBank._trusted(mats[0], mats[1:], camera_ids, gt_ids)
+    mats = _BANK.decode(data, {f"{space} feature": (n, dim) for space in spaces})
+    offset, ids = _HEADER.size + len(spaces) * n * dim * 4, {}
+    for flag, field, dtype in _ID_COLUMNS:
+        if flags & flag:
+            ids[field] = np.frombuffer(data, dtype, n, offset).astype(np.int64)
+            offset += n * np.dtype(dtype).itemsize
+    return FeatureBank._trusted(mats[0], mats[1:], **ids)
 
 
 def _unit_rows(rng: np.random.Generator, shape) -> np.ndarray:

@@ -14,7 +14,6 @@ that identical runs produce identical files.
 from __future__ import annotations
 
 import json
-import struct
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -35,6 +34,7 @@ from .core import (
     _require_finite,
 )
 from .evaluate import LabelQuality, RetrievalResult, label_quality, map_cmc
+from .ingest import BinaryFormat
 from .neighbors import k_reciprocal_jaccard, pairwise_sq_euclidean, topk_ranked_lists
 from .objectives import (
     MODE_BASELINE,
@@ -57,7 +57,6 @@ CLUSTER_BLEND_LAMBDA = 0.0
 
 MODEL_MAGIC = b"PPLM"
 MODEL_VERSION = 1
-_MODEL_HEADER = struct.Struct("<4sIIIII")
 
 
 @dataclass(frozen=True)
@@ -547,45 +546,34 @@ def write_lines(lines: Iterable[str], out_path) -> None:
         sys.stdout.writelines(lines)
 
 
+def _model_payload(d_raw: int, d: int, n_heads: int, k: int) -> int:
+    if d_raw == 0 or d == 0:
+        raise DataFormatError(f"header declares a {d_raw} x {d} projection")
+    if (k == 0) != (n_heads == 0):
+        raise DataFormatError(f"header declares {n_heads} heads of {k} classes")
+    return (d_raw * d + n_heads * k * d) * 4
+
+
+_MODEL_FIELDS = dict.fromkeys(["d_raw", "d", "n_heads", "K"], "<u4")
+_MODEL = BinaryFormat(MODEL_MAGIC, MODEL_VERSION, _MODEL_FIELDS, _model_payload)
+
+
 def save_model(model: ToyModel, path) -> None:
     """Binary blob: header then f32 matrices in declaration order. A value
     that does not fit f32 is a NumericalError, and nothing is written."""
     d_raw, d = model.projection.shape
-    n_heads = len(model.heads)
-    k = model.heads[0].k_classes if n_heads else 0
-    if any(head.k_classes != k for head in model.heads):
-        raise ValueError("all heads must share K for serialization")
-    mats = [model.projection] + [head.weight for head in model.heads]
-    with np.errstate(over="ignore"):
-        blobs = [np.ascontiguousarray(m, dtype="<f4") for m in mats]
-    if not all(np.isfinite(blob).all() for blob in blobs):
-        raise NumericalError("model values do not fit float32: training diverged")
-    header = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d_raw, d, n_heads, k)
-    Path(path).write_bytes(header + b"".join(blob.tobytes() for blob in blobs))
+    k = model.heads[0].k_classes if model.heads else 0
+    if any(head.weight.shape != (k, d) for head in model.heads):
+        raise ValueError("all heads must be K x d, with one K, for serialization")
+    mats = {"projection": model.projection}
+    mats.update((f"head {i}", head.weight) for i, head in enumerate(model.heads))
+    _MODEL.write(path, (d_raw, d, len(model.heads), k), mats)
 
 
 def load_model(path) -> ToyModel:
+    """Parse a model file; each corruption is a DataFormatError with its own message."""
     data = Path(path).read_bytes()
-    if len(data) < _MODEL_HEADER.size:
-        raise DataFormatError(f"truncated header: {len(data)} bytes")
-    magic, version, d_raw, d, n_heads, k = _MODEL_HEADER.unpack_from(data)
-    if magic != MODEL_MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}")
-    if version != MODEL_VERSION:
-        raise DataFormatError(f"unsupported version {version}")
-    expected = _MODEL_HEADER.size + (d_raw * d + n_heads * k * d) * 4
-    if len(data) != expected:
-        raise DataFormatError(
-            f"model blob has {len(data)} bytes, expected {expected}"
-        )
-    offset = _MODEL_HEADER.size
-    if not np.isfinite(np.frombuffer(data, "<f4", offset=offset)).all():
-        raise DataFormatError("non-finite entry in the model payload")
-    proj = np.frombuffer(data, "<f4", d_raw * d, offset).reshape(d_raw, d).astype(np.float64)
-    offset += d_raw * d * 4
-    heads = []
-    for _ in range(n_heads):
-        w = np.frombuffer(data, "<f4", k * d, offset).reshape(k, d).astype(np.float64)
-        offset += k * d * 4
-        heads.append(ClassifierHead(weight=w))
-    return ToyModel(projection=proj, heads=heads)
+    d_raw, d, n_heads, k = _MODEL.unpack(data)
+    shapes = {"projection": (d_raw, d), **{f"head {i}": (k, d) for i in range(n_heads)}}
+    projection, *weights = _MODEL.decode(data, shapes)
+    return ToyModel(projection=projection, heads=[ClassifierHead(weight=w) for w in weights])

@@ -1,4 +1,6 @@
-"""No package module calls ``np.nonzero``, ``np.argpartition`` or
+"""Two rules over the package's source.
+
+No package module calls ``np.nonzero``, ``np.argpartition`` or
 ``np.lexsort``, as functions or as array methods.
 
 Index pairs come from ``np.flatnonzero`` and ``np.divmod``, several times
@@ -6,6 +8,10 @@ faster than 2-D ``np.nonzero`` on a row block. Ranking goes through
 ``pplr.neighbors._ranked``, one stable path whatever the ties, in place of
 an ``np.argpartition`` fast path with a tie fallback; a multi-key
 ``np.lexsort`` would be a second ranking routine.
+
+No package module other than ``ingest.py`` uses ``struct``,
+``np.frombuffer`` or ``.tobytes()``: bytes are packed and unpacked only by
+``pplr.ingest.BinaryFormat``, the shared half of the bank and model codecs.
 """
 
 import ast
@@ -46,3 +52,45 @@ def test_banned_call_is_reported():
     )
     expected = ["argpartition (line 3)", "lexsort (line 5)", "nonzero (line 2)"]
     assert banned_calls(source) == expected
+
+
+CODEC_NAMES = {"struct", "frombuffer", "tobytes"}
+
+
+def codec_uses(source: str) -> list:
+    """Imports, names and attributes among ``CODEC_NAMES``, with their line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None), *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in CODEC_NAMES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "ingest.py"], ids=lambda p: p.name
+)
+def test_only_ingest_packs_bytes(path):
+    assert codec_uses(path.read_text("utf-8")) == []
+
+
+def test_codec_use_is_reported():
+    source = (
+        "import struct as s\n"
+        "from numpy import frombuffer  # struct in a comment is no use\n"
+        "blob = array.tobytes()\n"
+        "flat = np.frombuffer(blob, '<f4')\n"
+        "size = struct.calcsize('<I')\n"
+        "note = 'struct.pack in a string is no use either'\n"
+    )
+    expected = [
+        "frombuffer (line 2)", "frombuffer (line 4)", "struct (line 1)", "struct (line 5)",
+        "tobytes (line 3)",
+    ]
+    assert codec_uses(source) == expected

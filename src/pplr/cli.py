@@ -16,9 +16,10 @@ has a cross-camera positive, for ``eval``), 3 data-format or file error
 numerical error or an allocation that fails (a size that fits
 ``np.intp`` but not in memory).
 
-Every JSON-lines output, ``pipeline``'s report included, goes through one
-writer, ``pipeline.write_lines``. It streams the lines to ``--out`` (or
-stdout) as they are formed, never as one joined string. Each command
+Every JSON-lines output goes through one writer, ``pipeline.write_lines``
+(the records of ``pipeline``, ``train`` and ``eval`` through its one
+formatter, ``pipeline.write_records``). It streams the lines to ``--out``
+(or stdout) as they are formed, never as one joined string. Each command
 computes all its numbers before it opens the output, so a failed run
 leaves no file. ``cluster`` and ``eval`` read only the global features,
 so they normalize only those. Floats are written as ``json.dumps`` writes
@@ -56,7 +57,8 @@ from .core import (
     normalize_bank,
 )
 from .evaluate import map_cmc
-from .ingest import SynthConfig, generate_synthetic_bank, read_feature_bank, write_feature_bank
+from .ingest import SynthConfig, _check_widths, generate_synthetic_bank, read_feature_bank
+from .ingest import write_feature_bank
 from .neighbors import _row_blocks
 from .objectives import LossWeights
 from .pipeline import (
@@ -72,6 +74,7 @@ from .pipeline import (
     save_model,
     training_stage,
     write_lines,
+    write_records,
 )
 from .refine import RefinementConfig, aals_targets, effective_alpha, pglr_targets
 
@@ -257,15 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pplr", description="Pseudo-label refinement engine over feature banks"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simgen", "generate a synthetic feature bank"),
-        ("cluster", "pseudo-labels from the re-ranked clustering distance"),
-        ("agree", "cross agreement scores per sample and part"),
-        ("refine", "refined soft labels (PGLR and AALS targets)"),
-        ("train", "one training stage on fixed pseudo-labels"),
-        ("pipeline", "full alternating clustering/training run"),
-        ("eval", "cross-camera retrieval metrics on global features"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
         seed_key = "synth.seed" if name == "simgen" else "pipeline.seed"
@@ -322,6 +317,7 @@ def _json_floats(values: np.ndarray) -> np.ndarray:
 
 def _cmd_simgen(args, cfg: RunConfig) -> int:
     out = _path(args.out, cfg, "bank_out", "no output path: pass --out")
+    _check_widths(cfg.synth)
     bank = generate_synthetic_bank(cfg.synth)
     write_feature_bank(bank, out)
     return 0
@@ -412,7 +408,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     if model_out:
         save_model(model, model_out)
     records = [{"config": cfg.echo()}, *trace.iterations, {"warnings": trace.warnings_dict()}]
-    write_lines([json.dumps(r, sort_keys=True) + "\n" for r in records], out)
+    write_records(records, out)
     return 0
 
 
@@ -431,26 +427,20 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     if bank.camera_ids is None:
         raise ConfigError("bank carries no camera ids; eval is cross-camera")
     global_feats = l2_normalize(bank.global_feats)
-    result = map_cmc(
-        global_feats,
-        global_feats,
-        bank.gt_ids,
-        bank.gt_ids,
-        bank.camera_ids,
-        bank.camera_ids,
-    )
-    write_lines([json.dumps(result.to_json_dict(), sort_keys=True) + "\n"], args.out)
+    ids = (bank.gt_ids, bank.gt_ids, bank.camera_ids, bank.camera_ids)
+    write_records([map_cmc(global_feats, global_feats, *ids).to_json_dict()], args.out)
     return 0
 
 
+# Each command's handler and help text, in the order that --help lists them.
 _COMMANDS = {
-    "simgen": _cmd_simgen,
-    "cluster": _cmd_cluster,
-    "agree": _cmd_agree,
-    "refine": _cmd_refine,
-    "train": _cmd_train,
-    "pipeline": _cmd_pipeline,
-    "eval": _cmd_eval,
+    "simgen": (_cmd_simgen, "generate a synthetic feature bank"),
+    "cluster": (_cmd_cluster, "pseudo-labels from the re-ranked clustering distance"),
+    "agree": (_cmd_agree, "cross agreement scores per sample and part"),
+    "refine": (_cmd_refine, "refined soft labels (PGLR and AALS targets)"),
+    "train": (_cmd_train, "one training stage on fixed pseudo-labels"),
+    "pipeline": (_cmd_pipeline, "full alternating clustering/training run"),
+    "eval": (_cmd_eval, "cross-camera retrieval metrics on global features"),
 }
 
 
@@ -458,7 +448,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, _collect_overrides(args))
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,10 @@
 Every container in this module is immutable after construction (frozen
 dataclass holding read-only arrays: copies of what a caller passes, or for
 ``FeatureBank._trusted`` the arrays the package has just built), so a
-stage can hand an instance to the next without copying it. All validation
-happens in ``__post_init__``; an invalid instance cannot exist.
+stage can hand an instance to the next without copying it. An invalid
+instance cannot exist: the public constructors check in ``__post_init__``,
+and each package builder checks its arrays before it hands them to
+``FeatureBank._trusted``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -69,6 +71,21 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _normalize_rows(m: np.ndarray, describe=lambda row: f"row {row} has") -> np.ndarray:
+    """Divide the float64 rows (last axis) of ``m`` in place by their L2
+    norms, and return the norms: the package's one row normalization. A
+    zero or non-finite norm (a NaN, an infinity or an entry too large to
+    square) is a NumericalError naming the first such row by ``describe``."""
+    # An overflowing row has an infinite norm; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(m, axis=-1)
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        raise NumericalError(f"{describe(int(bad[0]))} a zero or non-finite norm")
+    m /= norms[..., None]
+    return norms
+
+
 def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     """Scale every row of a 2-D matrix to unit Euclidean norm.
 
@@ -76,20 +93,13 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     normalizing twice is a no-op to within 1e-12.
 
     Raises:
-        NumericalError: on non-finite entries or an all-zero row; the
-            message names the first offending row.
+        NumericalError: on a row with a zero or non-finite norm (see
+            ``_normalize_rows``); the message names the first such row.
     """
     m = np.array(matrix, dtype=np.float64)  # the one copy, divided in place
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        bad = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
-        raise NumericalError(f"non-finite entry in row {bad}")
-    norms = np.linalg.norm(m, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise NumericalError(f"zero-norm row {int(zero[0])}")
-    m /= norms[:, None]
+    _normalize_rows(m)
     return m
 
 
@@ -109,8 +119,7 @@ class FeatureBank:
     gt_ids: Optional[np.ndarray] = None
     normalized: bool = False
 
-    def __post_init__(self, _copy: bool = True) -> None:
-        freeze = _frozen if _copy else _read_only
+    def __post_init__(self) -> None:
         g = np.asarray(self.global_feats)
         if g.ndim != 2 or not np.issubdtype(g.dtype, np.floating):
             raise ValueError("global features must be a 2-D float matrix")
@@ -120,12 +129,10 @@ class FeatureBank:
         n, dim = g.shape
         for idx, p in enumerate(parts):
             if p.shape != (n, dim):
-                raise ValueError(
-                    f"part {idx} has shape {p.shape}, expected {(n, dim)}"
-                )
-        for space_id, m in [(GLOBAL_SPACE, g)] + [
-            (part_space(i), p) for i, p in enumerate(parts)
-        ]:
+                raise ValueError(f"part {idx} has shape {p.shape}, expected {(n, dim)}")
+        object.__setattr__(self, "global_feats", _frozen(g))
+        object.__setattr__(self, "part_feats", tuple(_frozen(p) for p in parts))
+        for space_id, m in self.spaces():
             if not np.all(np.isfinite(m)):
                 raise NumericalError(f"non-finite entry in {space_id} features")
             if self.normalized:
@@ -134,8 +141,6 @@ class FeatureBank:
                     raise ValueError(
                         f"bank flagged normalized but {space_id} rows are not unit-norm"
                     )
-        object.__setattr__(self, "global_feats", freeze(g))
-        object.__setattr__(self, "part_feats", tuple(freeze(p) for p in parts))
         for name in ("camera_ids", "gt_ids"):
             vec = getattr(self, name)
             if vec is None:
@@ -143,21 +148,23 @@ class FeatureBank:
             arr = np.asarray(vec)
             if arr.shape != (n,) or not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"{name} must be a length-{n} integer vector")
-            object.__setattr__(self, name, freeze(arr.astype(np.int64, copy=False)))
+            object.__setattr__(self, name, _frozen(arr.astype(np.int64, copy=False)))
 
     @classmethod
     def _trusted(
         cls, global_feats, part_feats, camera_ids=None, gt_ids=None, normalized=False
     ) -> "FeatureBank":
-        """A bank over arrays that the caller has just built and hands over,
-        or that another bank holds read-only: checked as by the
-        constructor, then frozen in place instead of copied."""
+        """A bank over float matrices of one shape and int64 id vectors that
+        a package builder has just made and checked, or that another bank
+        holds read-only: frozen in place, neither copied nor checked again."""
         out = object.__new__(cls)
         vars(out).update(
             global_feats=global_feats, part_feats=tuple(part_feats),
             camera_ids=camera_ids, gt_ids=gt_ids, normalized=normalized,
         )
-        out.__post_init__(_copy=False)
+        for m in (global_feats, *part_feats, camera_ids, gt_ids):
+            if m is not None:
+                _read_only(m)
         return out
 
     @property
@@ -182,13 +189,8 @@ class FeatureBank:
 def normalize_bank(bank: FeatureBank) -> FeatureBank:
     """A float64 copy of ``bank`` with every feature row L2-normalized:
     one new array per space, shared ids."""
-    return FeatureBank._trusted(
-        global_feats=l2_normalize(bank.global_feats),
-        part_feats=[l2_normalize(p) for p in bank.part_feats],
-        camera_ids=bank.camera_ids,
-        gt_ids=bank.gt_ids,
-        normalized=True,
-    )
+    mats = [l2_normalize(m) for _, m in bank.spaces()]
+    return FeatureBank._trusted(mats[0], mats[1:], bank.camera_ids, bank.gt_ids, normalized=True)
 
 
 @dataclass(frozen=True, eq=False)

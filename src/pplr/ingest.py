@@ -28,7 +28,7 @@ from typing import Dict, Sequence, Union
 import numpy as np
 
 from .core import GLOBAL_SPACE, DataFormatError, FeatureBank, NumericalError, part_space
-from .core import _require_finite
+from .core import _normalize_rows, _require_finite
 
 
 class BinaryFormat:
@@ -70,17 +70,21 @@ class BinaryFormat:
             offset += flat.nbytes
         return mats
 
-    def write(self, path, fields: Sequence[int], mats: Dict[str, np.ndarray], **columns) -> None:
-        """Write the header of ``fields``, the ``mats`` (name to matrix) as f32, then the
-        integer ``columns`` (name to values and dtype). Every check runs first, so a failed
-        one writes nothing: an integer past its width is a DataFormatError, a value past
-        the f32 range a NumericalError."""
+    def check(self, fields: Sequence[int], **columns) -> None:
+        """Raise the DataFormatError that ``write`` raises for header ``fields`` or integer
+        ``columns`` (name to values and dtype) that no file may hold."""
         ints = {**dict(zip(self.fields, zip(fields, self.fields.values()))), **columns}
         for name, (values, dtype) in ints.items():
             info = np.iinfo(dtype)
             if np.min(values, initial=0) < 0 or np.max(values, initial=0) > info.max:
                 raise DataFormatError(f"{name} must fit in u{info.bits}")
         self.payload_size(*fields)
+
+    def write(self, path, fields: Sequence[int], mats: Dict[str, np.ndarray], **columns) -> None:
+        """Write the header of ``fields``, the ``mats`` (name to matrix) as f32, then the
+        integer ``columns`` (name to values and dtype). Every check runs first, so a failed
+        one writes nothing: ``check``, then the f32 range, a NumericalError."""
+        self.check(fields, **columns)
         with np.errstate(over="ignore"):
             blobs = [np.ascontiguousarray(m, dtype="<f4") for m in mats.values()]
         for name, blob in zip(mats, blobs):
@@ -198,9 +202,12 @@ def read_feature_bank(path) -> FeatureBank:
     return FeatureBank._trusted(mats[0], mats[1:], **ids)
 
 
-def _unit_rows(rng: np.random.Generator, shape) -> np.ndarray:
-    vecs = rng.standard_normal(shape)
-    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+def _check_widths(cfg: SynthConfig) -> None:
+    """Raise, before any drawing, the DataFormatError that writing the bank
+    of ``cfg`` would raise for a header field or an id past its width."""
+    distinct = {"camera_ids": min(cfg.n_cameras, cfg.n_samples), "gt_ids": cfg.n_identities}
+    columns = {field: (distinct[field] - 1, dtype) for _, field, dtype in _ID_COLUMNS}
+    _BANK.check((cfg.n_samples, cfg.dim, cfg.n_parts, _KNOWN_FLAGS), **columns)
 
 
 def generate_synthetic_bank(cfg: SynthConfig) -> FeatureBank:
@@ -217,21 +224,26 @@ def generate_synthetic_bank(cfg: SynthConfig) -> FeatureBank:
     n, dim = cfg.n_samples, cfg.dim
     n_spaces = 1 + cfg.n_parts
 
-    means = _unit_rows(rng, (n_spaces, cfg.n_identities, dim))
-    cam_bias = cfg.camera_shift * _unit_rows(rng, (n_spaces, cfg.n_cameras, dim))
-    gt_ids = np.repeat(np.arange(cfg.n_identities), cfg.samples_per_identity)
-    camera_ids = np.arange(n) % cfg.n_cameras
+    means = rng.standard_normal((n_spaces, cfg.n_identities, dim))
+    cam_bias = rng.standard_normal((n_spaces, cfg.n_cameras, dim))
+    for unit in (means, cam_bias):
+        _normalize_rows(unit)
+    cam_bias *= cfg.camera_shift
+    gt_ids = np.repeat(np.arange(cfg.n_identities, dtype=np.int64), cfg.samples_per_identity)
+    camera_ids = np.arange(n, dtype=np.int64) % cfg.n_cameras
 
     # Noise scales by 1/sqrt(dim) so cluster_spread is the expected noise
     # magnitude relative to the unit-norm identity mean, independent of dim.
     # Each space is cast to float32 as it is drawn; occluded rows are cast
-    # on assignment below, which rounds as astype does.
+    # on assignment below, which rounds as astype does. A spread near the
+    # f32 limit overflows here; the check at the end reports it.
     spaces = []
-    for s in range(n_spaces):
-        feats = means[s][gt_ids] + cam_bias[s][camera_ids]
-        if cfg.cluster_spread > 0:
-            feats += cfg.cluster_spread * rng.standard_normal((n, dim)) / np.sqrt(dim)
-        spaces.append(feats.astype(np.float32))
+    with np.errstate(over="ignore"):
+        for s in range(n_spaces):
+            feats = means[s][gt_ids] + cam_bias[s][camera_ids]
+            if cfg.cluster_spread > 0:
+                feats += cfg.cluster_spread * rng.standard_normal((n, dim)) / np.sqrt(dim)
+            spaces.append(feats.astype(np.float32))
 
     fracs = cfg.occlusion_fractions()
     if np.isscalar(cfg.occlusion_fraction):
@@ -248,9 +260,7 @@ def generate_synthetic_bank(cfg: SynthConfig) -> FeatureBank:
             noise = rng.standard_normal((rows.size, dim)) / np.sqrt(dim)
             spaces[1 + p][rows] = noise
 
-    return FeatureBank._trusted(
-        global_feats=spaces[0],
-        part_feats=spaces[1:],
-        camera_ids=camera_ids,
-        gt_ids=gt_ids,
-    )
+    for space_id, m in zip([GLOBAL_SPACE, *map(part_space, range(cfg.n_parts))], spaces):
+        if not np.isfinite(m).all():
+            raise NumericalError(f"non-finite entry in {space_id} features")
+    return FeatureBank._trusted(spaces[0], spaces[1:], camera_ids, gt_ids)

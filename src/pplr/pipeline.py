@@ -29,8 +29,8 @@ from .core import (
     DataFormatError,
     FeatureBank,
     NoValidQueryError,
-    NumericalError,
     PseudoLabels,
+    _normalize_rows,
     _require_finite,
 )
 from .evaluate import LabelQuality, RetrievalResult, label_quality, map_cmc
@@ -190,35 +190,21 @@ def _project_spaces(bank_raw: FeatureBank, projection: np.ndarray, rows=slice(No
     norm, and the norms. A zero or non-finite norm (collapsed or diverged
     projection) is a NumericalError naming the space and the sample."""
     raw, feats, norms = [], [], []
+    samples = np.arange(bank_raw.n_samples)[rows]
     for space_id, m in bank_raw.spaces():
         x = np.asarray(m[rows], dtype=np.float64)
         v = x @ projection
-        # A diverged projection overflows here; the check below reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            nrm = np.linalg.norm(v, axis=1)
-        bad = np.flatnonzero((nrm == 0.0) | ~np.isfinite(nrm))
-        if bad.size:
-            sample = np.arange(bank_raw.n_samples)[rows][bad[0]]
-            raise NumericalError(
-                f"projection gave {space_id} row {sample} a zero or non-finite norm"
-            )
-        v /= nrm[:, None]
+        norms.append(_normalize_rows(v, lambda r: f"projection gave {space_id} row {samples[r]}"))
         raw.append(x)
         feats.append(v)
-        norms.append(nrm)
     return raw, feats, norms
 
 
 def project_bank(model: ToyModel, bank_raw: FeatureBank) -> FeatureBank:
     """Project every raw space through the model and L2-normalize rows."""
     _, mats, _ = _project_spaces(bank_raw, model.projection)
-    return FeatureBank._trusted(
-        global_feats=mats[0],
-        part_feats=mats[1:],
-        camera_ids=bank_raw.camera_ids,
-        gt_ids=bank_raw.gt_ids,
-        normalized=True,
-    )
+    ids = (bank_raw.camera_ids, bank_raw.gt_ids)
+    return FeatureBank._trusted(mats[0], mats[1:], *ids, normalized=True)
 
 
 def _clusterable_n(n: int) -> int:
@@ -532,8 +518,13 @@ def write_reports(
 ) -> None:
     """JSON-lines report file: a config echo line, then one epoch per line."""
     echo = config_echo if config_echo is not None else asdict(cfg)
-    records = [{"config": echo}, *(r.to_json_dict() for r in reports)]
-    write_lines((json.dumps(r, sort_keys=True) + "\n" for r in records), path)
+    write_records([{"config": echo}, *(r.to_json_dict() for r in reports)], path)
+
+
+def write_records(records: Iterable[dict], out_path) -> None:
+    """Each record as one sorted-key ``json.dumps`` line: the one format of
+    the report, ``train`` and ``eval`` records."""
+    write_lines((json.dumps(r, sort_keys=True) + "\n" for r in records), out_path)
 
 
 def write_lines(lines: Iterable[str], out_path) -> None:

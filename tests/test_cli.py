@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -772,6 +773,38 @@ class TestExitCodes:
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical error: "), proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--n-parts", "65536", "--n-identities", "1", "--samples-per-identity", "2"),
+             "n_parts must fit in u16"),
+            (("--n-identities", "1", "--samples-per-identity", "65537", "--n-cameras", "65537"),
+             "camera_ids must fit in u16"),
+        ],
+        ids=["n-parts", "camera-ids"],
+    )
+    def test_simgen_refuses_an_over_wide_bank_before_drawing(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # The config fixes every header field and id width, so the bank is
+        # refused before any space is drawn (65 537 of them for n-parts).
+        monkeypatch.setattr("pplr.cli.generate_synthetic_bank", _refuse)
+        out = tmp_path / "bank.pplb"
+        assert main(["simgen", "--synth-dim", "1", "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err == f"data format error: {message}\n"
+        assert not out.exists()
+
+    def test_simgen_bank_past_float32_prints_only_the_error_line(self, tmp_path, capsys):
+        # The generator checks its own float32 cast, with numpy's overflow
+        # warning silenced, as the projected row norms are.
+        out = tmp_path / "bank.pplb"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simgen", "--spread", "1e39", "--out", str(out)]) == 4
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "numerical error: non-finite entry in global features\n"
+        assert not out.exists()
 
     def test_failed_allocation_is_4(self, tmp_path, capsys):
         # proj_dim fits np.intp, but the projection needs 466 TiB: more than

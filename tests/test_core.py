@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from pplr.core import (
     l2_normalize,
     normalize_bank,
 )
+from pplr.ingest import SynthConfig, generate_synthetic_bank, read_feature_bank, write_feature_bank
+from pplr.pipeline import PipelineConfig, initial_model, project_bank
 
 
 class TestL2Normalize:
@@ -20,14 +23,27 @@ class TestL2Normalize:
         assert np.allclose(out, [[0.6, 0.8], [0.0, 1.0]])
 
     def test_zero_row_names_index(self):
-        with pytest.raises(NumericalError, match="zero-norm row 0"):
+        with pytest.raises(NumericalError, match="row 0 has a zero or non-finite norm"):
             l2_normalize(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(NumericalError, match="zero-norm row 2"):
+        with pytest.raises(NumericalError, match="row 2 has a zero or non-finite norm"):
             l2_normalize(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError):
             l2_normalize(np.array([[np.nan, 1.0]]))
+
+    def test_overflowing_row_is_a_numerical_error(self):
+        # The norm of a row of finite entries too large to square is
+        # infinite: the row is refused, not divided to zeros, and numpy's
+        # overflow warning stays silent.
+        big = np.array([[1.0, 0.0], [1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="row 1 has a zero or non-finite norm"):
+                l2_normalize(big)
+            bank = FeatureBank(global_feats=np.eye(2), part_feats=(big,))
+            with pytest.raises(NumericalError, match="row 1 has a zero or non-finite norm"):
+                normalize_bank(bank)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -88,7 +104,7 @@ class TestFeatureBank:
         with pytest.raises(ValueError):
             bank.global_feats[0, 0] = 7.0
 
-    def test_built_banks_are_checked_and_frozen_in_place(self):
+    def test_built_banks_are_checked_and_frozen_in_place(self, tmp_path, monkeypatch):
         # normalize_bank hands the bank its new arrays instead of copying
         # them, and shares the read-only ids of its input.
         bank = self._bank(camera_ids=np.arange(6))
@@ -97,8 +113,19 @@ class TestFeatureBank:
         for _, m in normalized.spaces():
             with pytest.raises(ValueError):
                 m[0, 0] = 7.0
-        with pytest.raises(ValueError, match="not unit-norm"):
-            FeatureBank._trusted(np.ones((6, 3)), [np.ones((6, 3))], normalized=True)
+        # Each builder checks its arrays before it hands them over, so the
+        # banks that the package builds never run the constructor's checks.
+        path = tmp_path / "bank.pplb"
+        write_feature_bank(generate_synthetic_bank(SynthConfig(n_identities=3)), path)
+
+        def refuse(self):
+            raise AssertionError("re-checked a bank that the package built")
+
+        monkeypatch.setattr(FeatureBank, "__post_init__", refuse)
+        raw = read_feature_bank(path)
+        generate_synthetic_bank(SynthConfig(n_identities=3))
+        normalize_bank(raw)
+        project_bank(initial_model(PipelineConfig(), raw), raw)
 
     def test_spaces_ordering(self):
         bank = self._bank()

@@ -1,4 +1,4 @@
-"""Two rules over the package's source.
+"""Three rules over the package's source.
 
 No package module calls ``np.nonzero``, ``np.argpartition`` or
 ``np.lexsort``, as functions or as array methods.
@@ -12,6 +12,10 @@ an ``np.argpartition`` fast path with a tie fallback; a multi-key
 No package module other than ``ingest.py`` uses ``struct``,
 ``np.frombuffer`` or ``.tobytes()``: bytes are packed and unpacked only by
 ``pplr.ingest.BinaryFormat``, the shared half of the bank and model codecs.
+
+No package module other than ``core.py`` calls ``np.linalg.norm``: rows
+are normalized only by ``pplr.core._normalize_rows``, which refuses a zero
+or non-finite norm, so no second copy can drift from its checks.
 """
 
 import ast
@@ -94,3 +98,36 @@ def test_codec_use_is_reported():
         "tobytes (line 3)",
     ]
     assert codec_uses(source) == expected
+
+
+def norm_uses(source: str) -> list:
+    """Uses of ``linalg.norm``, as an attribute or an import from a
+    ``linalg`` module, with their line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found += [f"norm (line {node.lineno})" for a in node.names if a.name == "norm"]
+        elif isinstance(node, ast.Attribute) and node.attr == "norm":
+            value = node.value
+            if getattr(value, "attr", getattr(value, "id", None)) == "linalg":
+                found.append(f"norm (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_takes_row_norms(path):
+    assert norm_uses(path.read_text("utf-8")) == []
+
+
+def test_norm_use_is_reported():
+    source = (
+        "import numpy as np\n"
+        "n = np.linalg.norm(x, axis=1)  # np.linalg.norm in a comment is no use\n"
+        "from numpy.linalg import norm\n"
+        "from numpy import linalg\n"
+        "m = linalg.norm(y)\n"
+        "ok = x.norm + np.sqrt((x * x).sum())\n"
+    )
+    assert norm_uses(source) == ["norm (line 2)", "norm (line 3)", "norm (line 5)"]
